@@ -705,68 +705,6 @@ func BenchmarkAddBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkAddBatchParallel measures the stage-parallel AddBatch pipeline
-// across worker counts (workers1 is the exact single-threaded path and the
-// regression guard for it; the others exercise the gang prepare pre-pass).
-// Batches of 2048 edges match the scale experiment. On a single-core
-// machine all sub-benchmarks share one CPU, so the multi-worker numbers
-// measure pipeline overhead rather than speedup.
-func BenchmarkAddBatchParallel(b *testing.B) {
-	s, _ := tenKStream(b)
-	pub := make([]loom.StreamEdge, len(s))
-	for i, e := range s {
-		pub[i] = loom.StreamEdge{U: int64(e.U), LU: string(e.LU), V: int64(e.V), LV: string(e.LV)}
-	}
-	n := streamVertexCount(s)
-	wl, err := loom.DatasetWorkload("musicbrainz")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			const batchSize = 2048
-			newP := func() *loom.Partitioner {
-				p, err := loom.New(loom.Options{
-					Partitions:            8,
-					ExpectedVertices:      n,
-					WindowSize:            1024,
-					Seed:                  42,
-					Workers:               workers,
-					DisableGraphRecording: true,
-				}, wl)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return p
-			}
-			b.ReportAllocs()
-			p := newP()
-			j := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; {
-				if j == len(pub) {
-					b.StopTimer()
-					p = newP()
-					j = 0
-					b.StartTimer()
-				}
-				end := j + batchSize
-				if end > len(pub) {
-					end = len(pub)
-				}
-				if left := b.N - i; end > j+left {
-					end = j + left
-				}
-				if err := p.AddBatch(pub[j:end]); err != nil {
-					b.Fatal(err)
-				}
-				i += end - j
-				j = end
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Read-path benchmarks: snapshot capture and point reads at serving scale
 // (one million assigned vertices, the router-tier regime of ISSUE 6). The

@@ -7,13 +7,11 @@
 //	loom-bench -exp fig7 -scale 20000 -k 8
 //	loom-bench -exp fig9 -datasets musicbrainz
 //	loom-bench -exp perf -json BENCH_$(git rev-parse --short HEAD).json
-//	loom-bench -exp scale -json BENCH_parallel.json
 //	loom-bench -exp perf -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments: table1, fig4, fig7, fig8, fig9, table2, ablation, perf,
-// scale, read, hub, recover, all. The perf experiment measures every partitioner's
+// read, hub, recover, all. The perf experiment measures every partitioner's
 // streaming cost (ns, allocs and bytes per edge) plus the ipt it buys;
-// the scale experiment sweeps AddBatch worker counts (multi-core ingest);
 // the read experiment measures the lock-free read path (snapshot latency
 // vs assignment size, and read/ingest throughput under contention);
 // the hub experiment stresses the matching core's join path on
@@ -27,7 +25,7 @@
 // a tailed segment, transient read errors, an fsync-bouncing disk — and
 // asserts the supervised serving tier self-heals with zero wrong routes
 // (-short trims it to a CI smoke). -json writes
-// the perf, scale, read, hub, recover, route or chaos experiment as machine-readable
+// the perf, read, hub, recover, route or chaos experiment as machine-readable
 // JSON ("-" for stdout) so the performance trajectory can be tracked across commits
 // (BENCH_*.json).
 // -cpuprofile / -memprofile write pprof profiles covering the selected
@@ -50,7 +48,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig4, fig7, fig8, fig9, table2, ablation, extensions, simulate, motifs, perf, scale, read, hub, recover, route, chaos, footprint, all")
+		exp      = flag.String("exp", "all", "experiment: table1, fig4, fig7, fig8, fig9, table2, ablation, extensions, simulate, motifs, perf, read, hub, recover, route, chaos, footprint, all")
 		short    = flag.Bool("short", false, "trim the chaos experiment to a CI-smoke scale")
 		scale    = flag.Int("scale", 12000, "per-dataset target vertex count")
 		seed     = flag.Int64("seed", 42, "seed for generation/shuffles/signatures")
@@ -58,7 +56,7 @@ func main() {
 		win      = flag.Int("window", 2048, "Loom window size at harness scale")
 		datasets = flag.String("datasets", "", "comma-separated subset (default: dblp,provgen,musicbrainz,lubm)")
 		fpEdges  = flag.String("edges", "1e6", "footprint: comma-separated stream edge counts, e.g. 1e6,1e7,1e8")
-		jsonOut  = flag.String("json", "", "write the perf, scale, read, hub or recover experiment as JSON to this file (\"-\" for stdout)")
+		jsonOut  = flag.String("json", "", "write the perf, read, hub or recover experiment as JSON to this file (\"-\" for stdout)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the experiment to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	)
@@ -78,8 +76,6 @@ func main() {
 			switch *exp {
 			case "all", "perf":
 				return runPerfJSON(cfg, *jsonOut)
-			case "scale":
-				return runScaleJSON(cfg, *jsonOut)
 			case "read":
 				return runReadJSON(cfg, *jsonOut)
 			case "hub":
@@ -93,7 +89,7 @@ func main() {
 			case "footprint":
 				return runFootprintJSON(cfg, edgeCounts, *jsonOut)
 			default:
-				return fmt.Errorf("-json only applies to the perf, scale, read, hub, recover, route, chaos and footprint experiments (got -exp %s)", *exp)
+				return fmt.Errorf("-json only applies to the perf, read, hub, recover, route, chaos and footprint experiments (got -exp %s)", *exp)
 			}
 		}
 		return run(*exp, cfg, *short, edgeCounts)
@@ -261,27 +257,6 @@ func runChaosJSON(cfg bench.Config, path string, short bool) error {
 	return f.Close()
 }
 
-// runScaleJSON runs the multi-core scaling sweep and writes the
-// machine-readable report to path ("-" = stdout).
-func runScaleJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunScale(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteScaleJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteScaleJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // runFootprintJSON runs the memory-footprint sweep and writes the
 // machine-readable report to path ("-" = stdout).
 func runFootprintJSON(cfg bench.Config, edgeCounts []int64, path string) error {
@@ -372,12 +347,6 @@ func run(exp string, cfg bench.Config, short bool, edgeCounts []int64) error {
 				return err
 			}
 			bench.RenderPerf(os.Stdout, rep)
-		case "scale":
-			rep, err := bench.RunScale(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderScale(os.Stdout, rep)
 		case "read":
 			rep, err := bench.RunRead(cfg)
 			if err != nil {

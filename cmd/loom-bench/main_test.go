@@ -13,28 +13,10 @@ func tinyCfg() bench.Config {
 }
 
 func TestRunEachExperiment(t *testing.T) {
-	for _, exp := range []string{"table1", "fig4", "fig9", "table2", "ablation", "extensions", "motifs", "simulate", "perf", "scale"} {
+	for _, exp := range []string{"table1", "fig4", "fig9", "table2", "ablation", "extensions", "motifs", "simulate", "perf"} {
 		if err := run(exp, tinyCfg(), false, nil); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
-	}
-}
-
-func TestRunScaleJSON(t *testing.T) {
-	path := t.TempDir() + "/BENCH_scale_test.json"
-	if err := runScaleJSON(tinyCfg(), path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.ScaleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if want := len(bench.ScaleWorkers); len(rep.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
 	}
 }
 
@@ -99,7 +81,9 @@ func TestRunFig7AndFig8(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", tinyCfg(), false, nil); err == nil {
-		t.Error("unknown experiment: want error")
+	for _, exp := range []string{"fig99", "scale"} {
+		if err := run(exp, tinyCfg(), false, nil); err == nil {
+			t.Errorf("unknown experiment %q: want error", exp)
+		}
 	}
 }

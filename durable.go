@@ -84,9 +84,8 @@ func (f WALFailurePolicy) String() string {
 
 // ErrWALConfig reports that a checkpoint was written by a partitioner
 // whose Options or base workload differ from the ones passed to Open.
-// Everything that shapes placement decisions is fingerprinted (Workers is
-// deliberately exempt: placements are bit-identical across worker counts,
-// so a checkpoint is portable between them).
+// Everything that shapes placement decisions is fingerprinted; the
+// deprecated, ignored Workers field is not.
 var ErrWALConfig = errors.New("loom: checkpoint does not match Options/workload")
 
 // Typed recovery failures, re-exported from the wal layer for errors.Is.
@@ -248,7 +247,7 @@ func DamagedSegment(err error) (name string, ok bool) {
 // consistent by polling.
 //
 // The wrapped Partitioner (see Partitioner method) serves every read —
-// PartitionOf, Snapshot, OnPlace/Subscribe, Evaluate — but refuses direct
+// PartitionOf, Snapshot, Subscribe, Evaluate — but refuses direct
 // ingest: state changes arrive exclusively through Poll, which applies
 // newly appended primary records under the same ingest lock, emitting
 // placement events exactly as the primary did. Because replay is
@@ -771,7 +770,8 @@ func (p *Partitioner) encodeCheckpointLocked() []byte {
 	if p.err != nil {
 		e.Str(p.err.Error())
 	}
-	// Config fingerprint (normalised values; Workers excluded).
+	// Config fingerprint (normalised values of every placement-shaping
+	// option).
 	e.I64(int64(p.opt.Partitions))
 	e.I64(int64(p.opt.ExpectedVertices))
 	e.I64(int64(p.opt.ExpectedEdges))

@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, e := range stream {
-		hash.AddStreamEdge(e)
+		hash.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	hash.Flush()
 	hev, err := hash.Evaluate()
@@ -75,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, e := range stream {
-			p.AddStreamEdge(e)
+			p.AddEdge(e.U, e.LU, e.V, e.LV)
 		}
 		p.Flush()
 		ev, err := p.Evaluate()

@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, e := range stream1 {
-		p1.AddStreamEdge(e)
+		p1.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p1.Flush()
 	ev1, err := p1.Evaluate()
@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, e := range stream2 {
-		p2.AddStreamEdge(e)
+		p2.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p2.Flush()
 	ev2, err := p2.Evaluate()

@@ -104,7 +104,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, e := range stream {
-			p.AddStreamEdge(e)
+			p.AddEdge(e.U, e.LU, e.V, e.LV)
 		}
 		p.Flush()
 		ev, err := p.Evaluate()

@@ -67,7 +67,7 @@ var PerfIngestModes = []string{"edge", "batch"}
 // RunPerf measures every system's streaming cost and partitioning quality
 // per dataset and ingest mode, driving the public concurrent
 // loom.Partitioner over the dataset's breadth-first stream. Every system
-// is measured twice — per-edge AddStreamEdge calls versus
+// is measured twice — per-edge AddEdge calls versus
 // perfBatchSize-chunk AddBatch calls — since batch ingest is the
 // preferred public path; the reported ns/edge is the per-mode MINIMUM over
 // perfReps interleaved runs (see perfPair for the methodology), and
@@ -123,18 +123,12 @@ func RunPerf(cfg Config) (*PerfReport, error) {
 // rows isolate the streaming path; the prepared graph provides ipt).
 func newPublicSystem(sys string, p *prepared, cfg Config) (*loom.Partitioner, error) {
 	opt := loom.Options{
-		Partitions:       cfg.K,
-		ExpectedVertices: p.g.NumVertices(),
-		ExpectedEdges:    p.g.NumEdges(),
-		WindowSize:       cfg.WindowSize,
-		SupportThreshold: cfg.Threshold,
-		Seed:             cfg.Seed,
-		// The perf rows track the sequential public ingest path across
-		// commits; pinning Workers keeps them comparable on any machine
-		// (the default would otherwise flip the parallel pipeline on
-		// wherever GOMAXPROCS > 1). The scale experiment owns the
-		// worker-count dimension.
-		Workers:               1,
+		Partitions:            cfg.K,
+		ExpectedVertices:      p.g.NumVertices(),
+		ExpectedEdges:         p.g.NumEdges(),
+		WindowSize:            cfg.WindowSize,
+		SupportThreshold:      cfg.Threshold,
+		Seed:                  cfg.Seed,
 		DisableGraphRecording: true,
 	}
 	if sys == "loom" {
@@ -177,7 +171,7 @@ func perfPair(p *prepared, sys string, pubStream []loom.StreamEdge, cfg Config) 
 		switch mode {
 		case "edge":
 			for _, se := range pubStream {
-				pt.AddStreamEdge(se)
+				pt.AddEdge(se.U, se.LU, se.V, se.LV)
 			}
 		case "batch":
 			for i := 0; i < len(pubStream); i += perfBatchSize {

@@ -34,9 +34,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"loom/internal/graph"
 	"loom/internal/intern"
@@ -84,13 +82,7 @@ type Config struct {
 	// MaxMatchesPerVertex caps matchList fan-out per vertex; 0 uses the
 	// window package default.
 	MaxMatchesPerVertex int
-	// Workers is the parallelism of batch ingest: ProcessBatchFunc runs
-	// its prepare pre-pass (vertex/label resolution, motif-gate probes)
-	// across this many goroutines, and eviction rounds with large match
-	// lists scatter their bid counts across the same pool. Placements are
-	// bit-identical for every value. 0 defaults to GOMAXPROCS; 1 disables
-	// the pipeline entirely (the exact single-threaded path). Per-edge
-	// ProcessEdge is unaffected.
+	// Deprecated: ingest is single-threaded; the value is ignored.
 	Workers int
 	// Prior, when non-nil, enables the restreaming mode the paper lists
 	// as future work (§6, after Nishimura & Ugander [22]): when a
@@ -117,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mode == "" {
 		c.Mode = ModeEqualOpportunism
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -173,15 +162,6 @@ type Loom struct {
 	// string again.
 	vlab []int32
 
-	// Batch-pipeline state (see pipeline.go): the pooled per-batch
-	// prepare scratch, the worker gang alive for the duration of one
-	// ProcessBatchFunc call (nil otherwise — EvictOne checks it before
-	// parallelising the bid scatter), and the match-list length above
-	// which an eviction round scatters bids in parallel.
-	prep       prepScratch
-	gang       *gang
-	scatterMin int
-
 	// onEvict, when non-nil, observes every edge leaving the sliding
 	// window (see SetEvictHook). Invoked synchronously, with external IDs.
 	onEvict func(u, v int64)
@@ -207,9 +187,6 @@ func New(cfg Config, trie *tpstry.Trie) (*Loom, error) {
 	if cfg.Mode != ModeEqualOpportunism && cfg.Mode != ModeNaiveGreedy {
 		return nil, fmt.Errorf("core: unknown mode %q", cfg.Mode)
 	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("core: Workers must be >= 1, got %d", cfg.Workers)
-	}
 	// The capacity constraint C = ν·n/k fixes the expected vertex count
 	// n = C·k/ν: pre-size every per-vertex structure for it (clamped so a
 	// wild capacity cannot force an absurd allocation), taking all
@@ -231,15 +208,14 @@ func New(cfg Config, trie *tpstry.Trie) (*Loom, error) {
 	tr := partition.NewTrackerWith(cfg.K, cfg.Capacity, verts)
 	tr.Reserve(expected)
 	return &Loom{
-		cfg:        cfg,
-		trie:       trie,
-		tr:         tr,
-		win:        w,
-		verts:      verts,
-		ltab:       ltab,
-		vlab:       make([]int32, 0, expected),
-		seenStamp:  make([]uint32, 0, expected),
-		scatterMin: defaultScatterMin,
+		cfg:       cfg,
+		trie:      trie,
+		tr:        tr,
+		win:       w,
+		verts:     verts,
+		ltab:      ltab,
+		vlab:      make([]int32, 0, expected),
+		seenStamp: make([]uint32, 0, expected),
 	}, nil
 }
 
@@ -280,23 +256,11 @@ func (l *Loom) ProcessEdge(se graph.StreamEdge) {
 	}
 	// The interning boundary: both endpoints and labels are resolved to
 	// dense indices/codes exactly once; everything below runs on them.
-	// The batch pipeline performs the same resolution in its prepare
-	// pre-pass and joins the identical placement path at processResolved,
-	// which is what keeps parallel and per-edge ingest bit-identical.
 	ui := l.tr.Intern(se.U)
 	vi := l.tr.Intern(se.V)
 	cu := l.labelCodeOf(ui, se.LU)
 	cv := l.labelCodeOf(vi, se.LV)
-	node, ok := l.win.SingleEdgeMotifCodes(cu, cv)
-	l.processResolved(se, ui, vi, cu, cv, node, ok)
-}
-
-// processResolved is the placement core shared by per-edge and batch
-// ingest: it consumes a fully-resolved edge (interned endpoints, label
-// codes, single-edge motif verdict) and performs window insertion, eviction
-// and assignment. Every ingest path funnels through it, so placements
-// cannot diverge between them.
-func (l *Loom) processResolved(se graph.StreamEdge, ui, vi uint32, cu, cv uint16, node *tpstry.Node, motif bool) {
+	node, motif := l.win.SingleEdgeMotifCodes(cu, cv)
 	if !motif || l.cfg.WindowSize == 0 {
 		// §3: e can never be part of a motif match — assign immediately
 		// with LDG and "behave as if the edge was never added to the
@@ -643,7 +607,10 @@ func (l *Loom) equalOpportunism(me []*window.Match) (partition.ID, []*window.Mat
 		l.supports = make([]float64, maxCnt)
 	}
 	l.supports = l.supports[:maxCnt]
-	l.scatterAll(me, maxCnt, k)
+	for i := 0; i < maxCnt; i++ {
+		l.scatterBidCounts(me[i], l.bidCounts[i*k:(i+1)*k])
+		l.supports[i] = l.trie.SupportOf(me[i].Node)
+	}
 
 	// Incremental prefix totals: match i contributes to every partition
 	// whose rationed prefix extends past i.
@@ -701,48 +668,6 @@ func (l *Loom) equalOpportunism(me []*window.Match) (partition.ID, []*window.Mat
 		}
 	}
 	return best, me[:bestCnt]
-}
-
-// scatterAll fills the per-match bid-count K-vectors and support cache for
-// the first maxCnt support-sorted matches. During a parallel batch (gang
-// non-nil) with a match list past the scatter threshold, matches are
-// claimed by worker goroutines off an atomic counter: each match's
-// K-vector and support land in fixed, disjoint slots, and the rationed
-// totals are then reduced serially by the caller in the same fixed order
-// as ever — so the floating-point sums, and hence placements, stay
-// bit-identical to the serial scatter. The workers only read tracker and
-// trie state (partitions, adjacency, supports), which no one mutates
-// mid-eviction.
-func (l *Loom) scatterAll(me []*window.Match, maxCnt, k int) {
-	if l.gang != nil && maxCnt >= l.scatterMin {
-		var next atomic.Int64
-		l.gang.run(func(int) {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= maxCnt {
-					return
-				}
-				l.scatterBidCounts(me[i], l.bidCounts[i*k:(i+1)*k])
-				l.supports[i] = l.trie.SupportOf(me[i].Node)
-			}
-		})
-		return
-	}
-	for i := 0; i < maxCnt; i++ {
-		l.scatterBidCounts(me[i], l.bidCounts[i*k:(i+1)*k])
-		l.supports[i] = l.trie.SupportOf(me[i].Node)
-	}
-}
-
-// SetScatterMin overrides the match-list length above which eviction
-// rounds scatter bid counts across the batch worker gang (tuning and
-// tests; the default keeps small rounds on the serial path, where the
-// gang dispatch would cost more than the scatter).
-func (l *Loom) SetScatterMin(n int) {
-	if n < 1 {
-		n = 1
-	}
-	l.scatterMin = n
 }
 
 // clusterCounts sums observed-neighbour counts per partition over the

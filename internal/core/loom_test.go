@@ -58,6 +58,32 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestConfigWorkersValidation: the deprecated Workers field is neither
+// validated nor read — any value, negative included, is accepted and
+// places exactly as the default.
+func TestConfigWorkersValidation(t *testing.T) {
+	stream := ringOfCliques(rand.New(rand.NewSource(3)), 6, 5, []graph.Label{"a", "b", "c"})
+	var want *partition.Assignment
+	for _, workers := range []int{0, -1, 6} {
+		l, err := New(Config{K: 3, Capacity: 20, WindowSize: 16, Workers: workers}, paperTrie(t))
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		l.ProcessEdges(stream)
+		l.Flush()
+		got := l.Assignment()
+		if want == nil {
+			want = got
+			continue
+		}
+		want.Each(func(v graph.VertexID, p partition.ID) {
+			if gp := got.Of(v); gp != p {
+				t.Fatalf("Workers=%d: vertex %d placed in %d, want %d", workers, v, gp, p)
+			}
+		})
+	}
+}
+
 // TestPaperWorkedExample reproduces §4's equal-opportunism walkthrough:
 // partitions S1 (4 vertices, containing window vertex 2) and S2 (3
 // vertices); evicting e1 must assign the first half of Me — ⟨e1,m1⟩ and

@@ -23,14 +23,7 @@
 //
 // Quiescent reads: every read-only call — VertexTable.Lookup/ID/Len/IDs and
 // LabelTable.Lookup/Name/Len/Names — is safe from any number of goroutines
-// while no Intern runs. This is the contract behind the two-phase batch
-// resolve in internal/core's ingest pipeline: phase one fans read-only
-// Lookups of already-known vertices and labels across worker goroutines,
-// then a single serial phase interns only the strings the stream has never
-// seen (in arrival order, keeping dense indices bit-identical to sequential
-// ingest), after which the new entries are visible to the next batch's
-// parallel phase. The phases are separated by a goroutine join, so no
-// happens-before edge is missing.
+// while no Intern runs.
 //
 // Live reads: VertexTable.Lookup (and View.Lookup) additionally tolerates a
 // single concurrent Intern-ing writer. Slots publish their dense index with

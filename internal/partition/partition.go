@@ -687,8 +687,8 @@ func (t *Tracker) AddNeighborCountsIdx(i uint32, counts []int32) {
 // i, read from the incrementally maintained count table — O(K) regardless
 // of degree. The returned slice is the tracker's reusable scratch buffer:
 // it is valid only until the next call that computes neighbour counts on
-// this tracker (NeighborCountsIdx, NeighborCounts, countNeighbors,
-// AssignLDGIdx, AssignLDG, or any placer built on them).
+// this tracker (NeighborCountsIdx, NeighborCounts, AssignLDGIdx,
+// AssignLDG, or any placer built on them).
 func (t *Tracker) NeighborCountsIdx(i uint32) []int {
 	counts := t.counts
 	for p := range counts {

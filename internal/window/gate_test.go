@@ -2,7 +2,6 @@ package window
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"loom/internal/graph"
@@ -11,43 +10,9 @@ import (
 	"loom/internal/tpstry"
 )
 
-// TestGateProbeMatchesSingleEdgeMotifCodes: after a serial warm-up,
-// GateProbe must report exactly the memoised verdicts — and report unknown
-// pairs as unknown rather than guessing.
-func TestGateProbeMatchesSingleEdgeMotifCodes(t *testing.T) {
-	trie := fig5Trie(t)
-	w := NewMatcher(trie, 0.4, 10)
-	ca := w.Labels().Intern("a")
-	cb := w.Labels().Intern("b")
-	cc := w.Labels().Intern("c")
-	cd := w.Labels().Intern("d")
-
-	w.GateSync()
-	if _, _, known := w.GateProbe(ca, cb); known {
-		t.Fatal("unwarmed pair reported as known")
-	}
-
-	wantNode, wantOK := w.SingleEdgeMotifCodes(ca, cb) // motif: a-b
-	node, motif, known := w.GateProbe(ca, cb)
-	if !known || motif != wantOK || node != wantNode {
-		t.Fatalf("GateProbe(a,b) = (%v,%v,%v); want memoised (%v,%v,true)",
-			node, motif, known, wantNode, wantOK)
-	}
-
-	if _, ok := w.SingleEdgeMotifCodes(ca, cd); ok { // non-motif: a-d
-		t.Fatal("a-d unexpectedly a motif")
-	}
-	if node, motif, known := w.GateProbe(ca, cd); !known || motif || node != nil {
-		t.Fatalf("GateProbe(a,d) = (%v,%v,%v); want memoised negative", node, motif, known)
-	}
-	if _, _, known := w.GateProbe(cc, cd); known {
-		t.Fatal("never-queried pair reported as known")
-	}
-}
-
 // TestGateSyncInvalidatesOnWorkloadChange: AddQuery bumps the trie
-// version; GateSync must clear stale verdicts so probes re-memoise against
-// the new workload.
+// version; the gate must drop its memoised verdicts so a pair that failed
+// the gate passes it once the new workload makes it a motif.
 func TestGateSyncInvalidatesOnWorkloadChange(t *testing.T) {
 	trie := fig5Trie(t)
 	w := NewMatcher(trie, 0.4, 10)
@@ -60,54 +25,14 @@ func TestGateSyncInvalidatesOnWorkloadChange(t *testing.T) {
 	if err := trie.AddQuery(pattern.Path("d", "e"), 5.0); err != nil {
 		t.Fatal(err)
 	}
-	w.GateSync()
-	if _, _, known := w.GateProbe(cd, ce); known {
-		t.Fatal("stale verdict survived GateSync after AddQuery")
+	if node, ok := w.SingleEdgeMotifCodes(cd, ce); !ok || node == nil {
+		t.Fatalf("d-e not a motif after AddQuery: node=%v ok=%v", node, ok)
 	}
-	if _, ok := w.SingleEdgeMotifCodes(cd, ce); !ok {
-		t.Fatal("d-e not a motif after AddQuery")
-	}
-	if node, motif, known := w.GateProbe(cd, ce); !known || !motif || node == nil {
-		t.Fatalf("GateProbe(d,e) = (%v,%v,%v) after re-memoisation", node, motif, known)
-	}
-}
-
-// TestGateProbeConcurrentReaders: with the memo warmed and synced, any
-// number of goroutines may probe concurrently (run under -race in CI) —
-// the contract the parallel batch pre-pass is built on.
-func TestGateProbeConcurrentReaders(t *testing.T) {
-	trie := fig5Trie(t)
-	w := NewMatcher(trie, 0.4, 10)
-	ca := w.Labels().Intern("a")
-	cb := w.Labels().Intern("b")
-	cc := w.Labels().Intern("c")
-	w.SingleEdgeMotifCodes(ca, cb)
-	w.SingleEdgeMotifCodes(cb, cc)
-	w.SingleEdgeMotifCodes(ca, cc)
-	w.GateSync()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if _, motif, known := w.GateProbe(ca, cb); !known || !motif {
-					t.Error("a-b lost its motif verdict")
-					return
-				}
-				w.GateProbe(cb, cc)
-				w.GateProbe(ca, cc)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestGateLargeAlphabetFallsBackToMap: label codes at or past maxGateDim
 // must memoise through the map path (the dense table is quadratic in the
-// alphabet and capped), with verdicts identical to the dense path and
-// visible to GateProbe.
+// alphabet and capped), with verdicts identical to the dense path.
 func TestGateLargeAlphabetFallsBackToMap(t *testing.T) {
 	trie := tpstry.New(signature.NewScheme(signature.DefaultP, 5))
 	w := NewMatcher(trie, 0.4, 100)
@@ -123,8 +48,8 @@ func TestGateLargeAlphabetFallsBackToMap(t *testing.T) {
 	if err := trie.AddQuery(pattern.Path(graph.Label(labels[small]), graph.Label(labels[big])), 1); err != nil {
 		t.Fatal(err)
 	}
-	w.GateSync()
-	if _, _, known := w.GateProbe(small, big); known {
+	key := func(cu, cv uint16) uint32 { return uint32(cu)<<16 | uint32(cv) }
+	if _, known := w.gateSlow[key(small, big)]; known {
 		t.Fatal("pair known before first resolve")
 	}
 	n, ok := w.SingleEdgeMotifCodes(small, big)
@@ -134,16 +59,15 @@ func TestGateLargeAlphabetFallsBackToMap(t *testing.T) {
 	if w.gateDim > maxGateDim {
 		t.Fatalf("dense gate grew past the cap: dim %d", w.gateDim)
 	}
-	pn, motif, known := w.GateProbe(small, big)
-	if !known || !motif || pn != n {
-		t.Fatalf("GateProbe disagrees with resolve: node=%v motif=%v known=%v", pn, motif, known)
+	if pn, known := w.gateSlow[key(small, big)]; !known || pn != n {
+		t.Fatalf("memo disagrees with resolve: node=%v known=%v", pn, known)
 	}
 	// A non-motif pair past the cap memoises a miss.
 	other := uint16(maxGateDim + 5)
 	if _, ok := w.SingleEdgeMotifCodes(other, big); ok {
 		t.Fatal("unexpected motif for unrelated large-code pair")
 	}
-	if _, motif, known := w.GateProbe(other, big); !known || motif {
-		t.Fatalf("miss not memoised for large-code pair: motif=%v known=%v", motif, known)
+	if pn, known := w.gateSlow[key(other, big)]; !known || pn != nil {
+		t.Fatalf("miss not memoised for large-code pair: node=%v known=%v", pn, known)
 	}
 }

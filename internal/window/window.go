@@ -431,7 +431,7 @@ const maxGateDim = 256
 // window. Decisions are memoised per label pair until the trie's workload
 // changes (supports — and so motif-hood — move with every AddQuery).
 func (w *Matcher) SingleEdgeMotifCodes(cu, cv uint16) (*tpstry.Node, bool) {
-	w.GateSync()
+	w.gateSync()
 	if int(cu) >= maxGateDim || int(cv) >= maxGateDim {
 		key := uint32(cu)<<16 | uint32(cv)
 		if n, ok := w.gateSlow[key]; ok {
@@ -476,8 +476,7 @@ func (w *Matcher) resolveGate(cu, cv uint16) *tpstry.Node {
 }
 
 // growGate re-strides the gate table to cover label codes below dim
-// (≤ maxGateDim), relocating memoised verdicts. Runs once per new label
-// (serial contexts only — the same ones that intern labels).
+// (≤ maxGateDim), relocating memoised verdicts. Runs once per new label.
 func (w *Matcher) growGate(dim int) {
 	newDim := w.gateDim * 2
 	if newDim < dim {
@@ -497,14 +496,10 @@ func (w *Matcher) growGate(dim int) {
 	w.gateDim = newDim
 }
 
-// GateSync revalidates the single-edge gate memo against the trie's current
+// gateSync revalidates the single-edge gate memo against the trie's current
 // workload version, clearing stale verdicts (supports — and so motif-hood —
-// move with every AddQuery). SingleEdgeMotifCodes calls it implicitly; the
-// batch-prepare pipeline calls it explicitly, once and serially, before
-// fanning GateProbe reads across worker goroutines — after GateSync returns
-// and until the next mutating call, the memo is stable and GateProbe is
-// safe for any number of concurrent readers.
-func (w *Matcher) GateSync() {
+// move with every AddQuery).
+func (w *Matcher) gateSync() {
 	if v := w.trie.Version(); w.gate == nil || w.gateVer != v {
 		if w.gate == nil {
 			w.growGate(8)
@@ -520,25 +515,6 @@ func (w *Matcher) GateSync() {
 		w.maxEdges = w.trie.MaxMotifEdges(w.threshold)
 		w.ensureGrowScratch()
 	}
-}
-
-// GateProbe is the read-only form of SingleEdgeMotifCodes: it consults the
-// memo without ever writing it, reporting the motif node (nil for a
-// non-motif pair), the verdict, and whether the pair has been memoised at
-// all. Unknown pairs are left for a serial SingleEdgeMotifCodes pass to
-// resolve. Callers must GateSync first; concurrent GateProbe calls are then
-// safe as long as no gate-mutating call runs alongside them (the parallel
-// pre-pass of AddBatch relies on exactly this).
-func (w *Matcher) GateProbe(cu, cv uint16) (node *tpstry.Node, motif, known bool) {
-	if int(cu) >= maxGateDim || int(cv) >= maxGateDim {
-		n, ok := w.gateSlow[uint32(cu)<<16|uint32(cv)]
-		return n, n != nil, ok
-	}
-	if int(cu) >= w.gateDim || int(cv) >= w.gateDim {
-		return nil, false, false
-	}
-	cell := &w.gate[int(cu)*w.gateDim+int(cv)]
-	return cell.node, cell.state == gateMotif, cell.state != gateUnknown
 }
 
 // ensureGrowScratch re-sizes the join/grow scratch for the current

@@ -21,7 +21,7 @@
 //
 //	p, err := loom.New(loom.Options{Partitions: 4, ExpectedVertices: 10000}, wl)
 //	// mirror placements as they happen (e.g. into a query router):
-//	p.OnPlace(func(ev loom.PlacementEvent) { router.Apply(ev) })
+//	p.Subscribe(func(ev loom.PlacementEvent) { router.Apply(ev) })
 //	// stream edges in batches — any number of goroutines may feed:
 //	err = p.AddBatch([]loom.StreamEdge{
 //		{U: 1, LU: "person", V: 2, LV: "person"},
@@ -54,7 +54,6 @@ package loom
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,15 +105,7 @@ type Options struct {
 	// Seed makes signature label values and any internal randomness
 	// reproducible (default 1).
 	Seed int64
-	// Workers is the parallelism of batch ingest: AddBatch runs a
-	// prepare pre-pass (edge conversion, vertex/label resolution, motif
-	// gate) across this many goroutines before the sequential placement
-	// core consumes the batch, and large eviction rounds scatter their
-	// bids across the same pool. Placements are bit-identical for every
-	// value — parallelism changes only throughput. 0 (the default) uses
-	// GOMAXPROCS at construction time; 1 disables the pipeline and keeps
-	// ingest on the exact single-threaded path. Only Loom partitioners
-	// parallelise; baselines ignore the knob.
+	// Deprecated: ingest is single-threaded; the value is ignored.
 	Workers int
 	// KeepGraph records every accepted edge so Evaluate can replay the
 	// workload over the final partitioning (default true; disable for
@@ -345,7 +336,7 @@ type Partitioner struct {
 
 	// mu guards every field below: ingest and other mutations take the
 	// write lock, reads the read lock. Placement-event handlers run while
-	// the write lock is held (see OnPlace).
+	// the write lock is held (see Subscribe).
 	mu       sync.RWMutex
 	streamer partition.Streamer
 	tr       *partition.Tracker // streamer's tracker (cheap reads, event hook)
@@ -366,7 +357,7 @@ type Partitioner struct {
 	seq      uint64
 	handlers []func(PlacementEvent)
 	// evHooked records that the streamer-level event hooks are installed.
-	// It is set by the first OnPlace and — crucially for recovery — by
+	// It is set by the first Subscribe and — crucially for recovery — by
 	// restore when the checkpointed partitioner had subscribers: the hooks
 	// must advance the event seq during replay even before any handler
 	// re-subscribes, or post-recovery seqs would diverge from the
@@ -480,12 +471,6 @@ func (o Options) normalise() (Options, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		return o, fmt.Errorf("loom: Workers must be >= 1 (or 0 for GOMAXPROCS), got %d", o.Workers)
-	}
 	if o.WALSync < WALSyncBatch || o.WALSync > WALSyncNone {
 		return o, fmt.Errorf("loom: unknown WALSync policy %d", o.WALSync)
 	}
@@ -546,7 +531,6 @@ func newLoom(opt Options, wl *Workload) (*Partitioner, error) {
 		SupportThreshold: opt.SupportThreshold,
 		Alpha:            opt.Alpha,
 		MaxImbalance:     opt.MaxImbalance,
-		Workers:          opt.Workers,
 	}, trie)
 	if err != nil {
 		return nil, err
@@ -632,11 +616,7 @@ func (p *Partitioner) Name() string { return p.name }
 //
 // AddBatch is the preferred ingest path: the ingest lock (and the public
 // per-call overhead around it) is paid once per batch rather than once per
-// edge — see BENCH_pr3_api.json for the measured per-edge saving. With
-// Options.Workers > 1, Loom partitioners additionally run the batch
-// through a stage-parallel pipeline (parallel prepare pre-pass, sequential
-// placement core) whose placements are bit-identical to the single-threaded
-// path; see the Workers option.
+// edge — see BENCH_pr3_api.json for the measured per-edge saving.
 func (p *Partitioner) AddBatch(batch []StreamEdge) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -653,9 +633,6 @@ func (p *Partitioner) AddBatch(batch []StreamEdge) error {
 // semantics; because those error paths are deterministic, replaying a
 // logged batch reproduces them exactly.
 func (p *Partitioner) applyBatchLocked(batch []StreamEdge) error {
-	if p.loom != nil && p.opt.Workers > 1 {
-		return p.addBatchParallel(batch)
-	}
 	var firstErr error
 	// Edges dispatch to the streamer one at a time rather than through
 	// Streamer.ProcessEdges: the public edge type must be converted
@@ -687,49 +664,6 @@ func (p *Partitioner) applyBatchLocked(batch []StreamEdge) error {
 	return firstErr
 }
 
-// addBatchParallel feeds a batch through the Loom core's stage-parallel
-// pipeline (p.mu held for writing). The pipeline pulls edges via the at
-// callback — conversion from the public edge type happens inside the
-// parallel prepare pre-pass, off the sequential path — and, when graph
-// recording is on, validates the batch through the same serial EnsureEdge
-// walk as the per-edge path (overlapped with the pre-pass), dropping
-// corrupt edges with the same sticky-error semantics.
-func (p *Partitioner) addBatchParallel(batch []StreamEdge) error {
-	var firstErr error
-	at := func(i int) graph.StreamEdge {
-		e := &batch[i]
-		return graph.StreamEdge{
-			U: graph.VertexID(e.U), LU: graph.Label(e.LU),
-			V: graph.VertexID(e.V), LV: graph.Label(e.LV),
-		}
-	}
-	var validate func(reject func(int))
-	if p.g != nil {
-		validate = func(reject func(int)) {
-			for i := range batch {
-				e := &batch[i]
-				se := graph.StreamEdge{
-					U: graph.VertexID(e.U), LU: graph.Label(e.LU),
-					V: graph.VertexID(e.V), LV: graph.Label(e.LV),
-				}
-				if _, err := p.g.EnsureEdge(se.U, se.LU, se.V, se.LV); err != nil {
-					err = fmt.Errorf("loom: %w", err)
-					if firstErr == nil {
-						firstErr = err
-					}
-					if p.err == nil {
-						p.err = err
-					}
-					reject(i)
-					continue
-				}
-			}
-		}
-	}
-	p.loom.ProcessBatchFunc(len(batch), at, validate)
-	return firstErr
-}
-
 // AddEdgeE feeds one stream edge, returning an error instead of panicking
 // on corrupt input (a label conflict with an already-recorded vertex). The
 // edge is dropped on error and the error is also retained as the sticky
@@ -739,8 +673,8 @@ func (p *Partitioner) AddEdgeE(u int64, lu string, v int64, lv string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.wal != nil || p.walClosed || p.follower {
-		// Logged as (and replayed exactly like) a one-edge batch; PR 4's
-		// golden guarantee makes the two paths bit-identical.
+		// Logged as (and replayed exactly like) a one-edge batch; the
+		// golden tests pin the two paths bit-identical.
 		one := [1]StreamEdge{{U: u, LU: lu, V: v, LV: lv}}
 		if err := p.walAppendBatch(one[:]); err != nil {
 			return err
@@ -777,9 +711,6 @@ func (p *Partitioner) AddEdge(u int64, lu string, v int64, lv string) {
 		panic(err.Error())
 	}
 }
-
-// AddStreamEdge is AddEdge for a StreamEdge value.
-func (p *Partitioner) AddStreamEdge(e StreamEdge) { p.AddEdge(e.U, e.LU, e.V, e.LV) }
 
 // Err returns the first ingest error (a corrupt edge dropped by AddBatch,
 // AddEdgeE or a batch), or nil. The error is sticky: it is never cleared,
@@ -877,26 +808,12 @@ type PlacementEvent struct {
 	Partition int
 }
 
-// OnPlace subscribes fn to placement events: every vertex → partition
+// Subscribe subscribes fn to placement events: every vertex → partition
 // decision (and, for Loom, every window eviction) is delivered exactly
 // once, in decision order, as it happens — the feed a query router needs to
-// mirror the assignment live. Subscribe before ingesting for a complete
-// mirror; events are not replayed retroactively. To subscribe after ingest
-// has started, use Subscribe, which additionally reports the resume point
-// the mirror needs to splice a snapshot onto the live feed.
-//
-// Handlers run synchronously on the ingesting goroutine while the
-// partitioner's ingest lock is held: they must be fast and must not call
-// back into the Partitioner (hand the event to a channel or an
-// independently-locked structure instead). Multiple handlers all receive
-// every event. Offline refinement (Refine) does not emit events — it
-// produces a new assignment rather than streaming decisions; take a
-// Snapshot after refining instead.
-func (p *Partitioner) OnPlace(fn func(PlacementEvent)) { p.Subscribe(fn) }
-
-// Subscribe is OnPlace with a resume point: it registers fn and returns the
-// sequence number the first event delivered to fn will carry. The contract,
-// which holds even when the subscription races ongoing ingest:
+// mirror the assignment live. It returns the sequence number the first
+// event delivered to fn will carry. The contract, which holds even when
+// the subscription races ongoing ingest:
 //
 //   - fn receives every event with Seq >= the returned firstSeq, exactly
 //     once, in Seq order, with no holes (Seqs are dense).
@@ -913,7 +830,16 @@ func (p *Partitioner) OnPlace(fn func(PlacementEvent)) { p.Subscribe(fn) }
 // happened: route a vertex through the live event mirror first and fall
 // back to the snapshot for anything the feed has not delivered. This is
 // the splice a late-joining query router performs at attach time — see the
-// router package.
+// router package. Subscribe before ingesting and the feed alone is a
+// complete mirror.
+//
+// Handlers run synchronously on the ingesting goroutine while the
+// partitioner's ingest lock is held: they must be fast and must not call
+// back into the Partitioner (hand the event to a channel or an
+// independently-locked structure instead). Multiple handlers all receive
+// every event. Offline refinement (Refine) does not emit events — it
+// produces a new assignment rather than streaming decisions; take a
+// Snapshot after refining instead.
 func (p *Partitioner) Subscribe(fn func(PlacementEvent)) (firstSeq uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1442,7 +1368,6 @@ func (p *Partitioner) Restream() (*Partitioner, error) {
 		SupportThreshold: opt.SupportThreshold,
 		Alpha:            opt.Alpha,
 		MaxImbalance:     opt.MaxImbalance,
-		Workers:          opt.Workers,
 		Prior:            prior,
 	}, trie)
 	if err != nil {

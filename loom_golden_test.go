@@ -9,9 +9,8 @@ package loom_test
 // all seed-deterministic, so these values are machine-independent; any
 // change to them is a placement regression, not noise.
 //
-// Sequential ingest and workers ∈ {2, 4, 8} batch ingest must all land on
-// the same pinned hash (the parallel pipeline's bit-identity guarantee,
-// PR 4, re-pinned here against the rebuilt matcher).
+// Per-edge AddEdge and AddBatch ingest must both land on the same pinned
+// hash.
 
 import (
 	"fmt"
@@ -53,30 +52,25 @@ func goldenFixture(t testing.TB, ds string) (*loom.Workload, []loom.StreamEdge, 
 	return wl, ordered, distinctVertices(ordered)
 }
 
-// placementHash ingests the stream at the given worker count and returns
-// the canonical assignment hash.
-func placementHash(t testing.TB, wl *loom.Workload, edges []loom.StreamEdge, n, workers int) (uint64, int) {
+// goldenBatches are the AddBatch sizes of the pinned runs; 0 means per-edge
+// AddEdge.
+var goldenBatches = []int{0, 311}
+
+// placementHash ingests the stream — per edge when batch is 0, else via
+// AddBatch in chunks of batch — and returns the canonical assignment hash.
+func placementHash(t testing.TB, wl *loom.Workload, edges []loom.StreamEdge, n, batch int) (uint64, int) {
 	t.Helper()
 	p, err := loom.New(loom.Options{
-		Partitions: 8, ExpectedVertices: n, WindowSize: 512, Seed: 42, Workers: workers,
+		Partitions: 8, ExpectedVertices: n, WindowSize: 512, Seed: 42,
 	}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers == 1 {
-		for _, e := range edges {
-			p.AddEdge(e.U, e.LU, e.V, e.LV)
-		}
+	if batch == 0 {
+		ingestEdges(p, edges)
 	} else {
-		const batch = 311
-		for i := 0; i < len(edges); i += batch {
-			end := min(i+batch, len(edges))
-			if err := p.AddBatch(edges[i:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ingestBatches(t, p, edges, batch)
 	}
-	p.Flush()
 	type pair struct {
 		v int64
 		p int
@@ -92,20 +86,19 @@ func placementHash(t testing.TB, wl *loom.Workload, edges []loom.StreamEdge, n, 
 }
 
 // TestGoldenPlacementsPinned: placements on the dataset fixtures must be
-// bit-identical to the PR 4 capture, for sequential and parallel ingest
-// alike.
+// bit-identical to the PR 4 capture, for per-edge and batch ingest alike.
 func TestGoldenPlacementsPinned(t *testing.T) {
 	for ds, want := range goldenPlacements {
 		t.Run(ds, func(t *testing.T) {
 			wl, edges, n := goldenFixture(t, ds)
-			for _, workers := range []int{1, 2, 4, 8} {
-				got, vertices := placementHash(t, wl, edges, n, workers)
+			for _, batch := range goldenBatches {
+				got, vertices := placementHash(t, wl, edges, n, batch)
 				if uint64(vertices) != want.vertices {
-					t.Fatalf("workers=%d: %d vertices assigned, want %d", workers, vertices, want.vertices)
+					t.Fatalf("batch=%d: %d vertices assigned, want %d", batch, vertices, want.vertices)
 				}
 				if got != want.hash {
-					t.Fatalf("workers=%d: placement hash %#x, want %#x (placements diverged from PR 4)",
-						workers, got, want.hash)
+					t.Fatalf("batch=%d: placement hash %#x, want %#x (placements diverged from PR 4)",
+						batch, got, want.hash)
 				}
 			}
 		})
@@ -115,8 +108,8 @@ func TestGoldenPlacementsPinned(t *testing.T) {
 // TestRandomStreamPlacementsParity is the placement leg of the window
 // package's naive-matcher differential test: on seeded RANDOM stream
 // orders (the pseudo-adversarial §1.2 ordering, not covered by the bfs
-// golden fixtures) sequential and parallel batch ingest must agree
-// exactly. Runs under -race in CI.
+// golden fixtures) per-edge AddEdge and AddBatch ingest must agree
+// exactly.
 func TestRandomStreamPlacementsParity(t *testing.T) {
 	for _, ds := range []string{"dblp", "provgen", "musicbrainz", "lubm"} {
 		t.Run(ds, func(t *testing.T) {
@@ -133,12 +126,12 @@ func TestRandomStreamPlacementsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := distinctVertices(ordered)
-			seq, nseq := placementHash(t, wl, ordered, n, 1)
-			for _, workers := range []int{2, 4} {
-				par, npar := placementHash(t, wl, ordered, n, workers)
-				if par != seq || npar != nseq {
-					t.Fatalf("workers=%d diverged from sequential on random order (%#x/%d vs %#x/%d)",
-						workers, par, npar, seq, nseq)
+			want, nwant := placementHash(t, wl, ordered, n, 0)
+			for _, batch := range []int{97, 311} {
+				got, ngot := placementHash(t, wl, ordered, n, batch)
+				if got != want || ngot != nwant {
+					t.Fatalf("batch=%d diverged from per-edge ingest on random order (%#x/%d vs %#x/%d)",
+						batch, got, ngot, want, nwant)
 				}
 			}
 		})

@@ -3,8 +3,8 @@ package loom_test
 // Crash-recovery golden tests (ISSUE 7): a durable partitioner that is
 // killed mid-stream and reopened must land on exactly the pinned golden
 // placements of the uninterrupted, non-durable run — same assignment
-// hash, vertex count, sizes, stats and event sequence — at every worker
-// count. The WAL layer's fault-injection sweep (loom_fault_test.go)
+// hash, vertex count, sizes, stats and event sequence — for per-edge and
+// batch ingest alike. The WAL layer's fault-injection sweep (loom_fault_test.go)
 // proves the on-disk states these tests recover from are the ones real
 // crashes produce; here the crashes are process-kill shaped (the handle
 // is abandoned without Close, all written bytes survive) and each run
@@ -27,18 +27,18 @@ import (
 	"loom"
 )
 
-func durableOpts(dir string, n, workers int) loom.Options {
+func durableOpts(dir string, n int) loom.Options {
 	return loom.Options{
-		Partitions: 8, ExpectedVertices: n, WindowSize: 512, Seed: 42, Workers: workers,
+		Partitions: 8, ExpectedVertices: n, WindowSize: 512, Seed: 42,
 		WALDir: dir,
 	}
 }
 
 // ingestRange feeds edges[from:to] the same way the golden tests do:
-// per-edge for workers=1, 311-edge batches otherwise.
-func ingestRange(t testing.TB, p *loom.Partitioner, edges []loom.StreamEdge, from, to, workers int) {
+// per-edge when batch is 0, else AddBatch in chunks of batch.
+func ingestRange(t testing.TB, p *loom.Partitioner, edges []loom.StreamEdge, from, to, batch int) {
 	t.Helper()
-	if workers == 1 {
+	if batch == 0 {
 		for _, e := range edges[from:to] {
 			if err := p.AddEdgeE(e.U, e.LU, e.V, e.LV); err != nil {
 				t.Fatal(err)
@@ -46,7 +46,6 @@ func ingestRange(t testing.TB, p *loom.Partitioner, edges []loom.StreamEdge, fro
 		}
 		return
 	}
-	const batch = 311
 	for i := from; i < to; i += batch {
 		end := min(i+batch, to)
 		if err := p.AddBatch(edges[i:end]); err != nil {
@@ -81,22 +80,22 @@ func TestRecoveryGoldenPlacements(t *testing.T) {
 	for ds, want := range goldenPlacements {
 		t.Run(ds, func(t *testing.T) {
 			wl, edges, n := goldenFixture(t, ds)
-			for _, workers := range []int{1, 2, 4, 8} {
+			for _, batch := range goldenBatches {
 				dir := t.TempDir()
 				third, twoThirds := len(edges)/3, 2*len(edges)/3
 
-				p1, info, err := loom.Open(durableOpts(dir, n, workers), wl)
+				p1, info, err := loom.Open(durableOpts(dir, n), wl)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if info.Recovered {
-					t.Fatalf("workers=%d: fresh dir reported recovery: %+v", workers, info)
+					t.Fatalf("batch=%d: fresh dir reported recovery: %+v", batch, info)
 				}
-				ingestRange(t, p1, edges, 0, third, workers)
+				ingestRange(t, p1, edges, 0, third, batch)
 				if _, err := p1.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				ingestRange(t, p1, edges, third, twoThirds, workers)
+				ingestRange(t, p1, edges, third, twoThirds, batch)
 				// Crash: p1 is abandoned mid-stream, un-Closed, un-Flushed.
 				// Sync first so the whole ingested prefix must replay —
 				// without it the group-commit buffer legitimately dies
@@ -106,22 +105,22 @@ func TestRecoveryGoldenPlacements(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				p2, info, err := loom.Open(durableOpts(dir, n, workers), wl)
+				p2, info, err := loom.Open(durableOpts(dir, n), wl)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !info.Recovered || info.CheckpointLSN == 0 || info.ReplayedRecords == 0 {
-					t.Fatalf("workers=%d: expected checkpoint+replay recovery, got %+v", workers, info)
+					t.Fatalf("batch=%d: expected checkpoint+replay recovery, got %+v", batch, info)
 				}
-				ingestRange(t, p2, edges, twoThirds, len(edges), workers)
+				ingestRange(t, p2, edges, twoThirds, len(edges), batch)
 				p2.Flush()
 				if err := p2.Err(); err != nil {
 					t.Fatal(err)
 				}
 				got, vertices := snapshotHash(p2)
 				if uint64(vertices) != want.vertices || got != want.hash {
-					t.Fatalf("workers=%d: recovered run hash %#x/%d vertices, want %#x/%d",
-						workers, got, vertices, want.hash, want.vertices)
+					t.Fatalf("batch=%d: recovered run hash %#x/%d vertices, want %#x/%d",
+						batch, got, vertices, want.hash, want.vertices)
 				}
 				if err := p2.Close(); err != nil {
 					t.Fatal(err)
@@ -144,28 +143,28 @@ func TestRecoveryStateEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, ref, edges, 0, len(edges), 1)
+	ingestRange(t, ref, edges, 0, len(edges), 0)
 	ref.Flush()
 
 	dir := t.TempDir()
-	p1, _, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p1, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, half, 1)
+	ingestRange(t, p1, edges, 0, half, 0)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Crash immediately after the checkpoint: replay is empty, the
 	// checkpoint alone must carry the full mid-window state.
-	p2, info, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p2, info, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.Recovered || info.ReplayedRecords != 0 {
 		t.Fatalf("expected pure-checkpoint recovery, got %+v", info)
 	}
-	ingestRange(t, p2, edges, half, len(edges), 1)
+	ingestRange(t, p2, edges, half, len(edges), 0)
 	p2.Flush()
 	defer p2.Close()
 
@@ -191,7 +190,7 @@ func TestRecoveryStateEquality(t *testing.T) {
 	}
 }
 
-// TestRecoveryEventStreamContinuity: the OnPlace event feed across a
+// TestRecoveryEventStreamContinuity: the Subscribe event feed across a
 // crash — everything delivered before the crash plus everything delivered
 // after the reopen — must be the uninterrupted run's event stream, with
 // one dense Seq numbering and no replayed duplicates (recovery advances
@@ -207,35 +206,35 @@ func TestRecoveryEventStreamContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []loom.PlacementEvent
-	ref.OnPlace(func(ev loom.PlacementEvent) { want = append(want, ev) })
-	ingestRange(t, ref, edges, 0, len(edges), 1)
+	ref.Subscribe(func(ev loom.PlacementEvent) { want = append(want, ev) })
+	ingestRange(t, ref, edges, 0, len(edges), 0)
 	ref.Flush()
 
 	dir := t.TempDir()
 	var got []loom.PlacementEvent
-	p1, _, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p1, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1.OnPlace(func(ev loom.PlacementEvent) { got = append(got, ev) })
-	ingestRange(t, p1, edges, 0, half, 1)
+	p1.Subscribe(func(ev loom.PlacementEvent) { got = append(got, ev) })
+	ingestRange(t, p1, edges, 0, half, 0)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, half, threeQ, 1)
+	ingestRange(t, p1, edges, half, threeQ, 0)
 	// Crash. The events for (half, threeQ] were delivered live and their
 	// records will be replayed on reopen — but not re-delivered. Sync
 	// first so the crash cannot take the staged group-commit tail with it.
 	if err := p1.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p2, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	p2.OnPlace(func(ev loom.PlacementEvent) { got = append(got, ev) })
-	ingestRange(t, p2, edges, threeQ, len(edges), 1)
+	p2.Subscribe(func(ev loom.PlacementEvent) { got = append(got, ev) })
+	ingestRange(t, p2, edges, threeQ, len(edges), 0)
 	p2.Flush()
 
 	if len(got) != len(want) {
@@ -278,29 +277,29 @@ func TestRecoveryWithAddedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, ref, edges, 0, third, 1)
+	ingestRange(t, ref, edges, 0, third, 0)
 	if err := ref.AddQuery("fanout", extra(), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, ref, edges, third, len(edges), 1)
+	ingestRange(t, ref, edges, third, len(edges), 0)
 	ref.Flush()
 	wantHash, wantN := snapshotHash(ref)
 
 	dir := t.TempDir()
-	p1, _, err := loom.Open(durableOpts(dir, n, 1), mkwl())
+	p1, _, err := loom.Open(durableOpts(dir, n), mkwl())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, third, 1)
+	ingestRange(t, p1, edges, 0, third, 0)
 	if err := p1.AddQuery("fanout", extra(), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, third, twoThirds, 1)
+	ingestRange(t, p1, edges, third, twoThirds, 0)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Crash after the checkpoint (which carries the query tail).
-	p2, info, err := loom.Open(durableOpts(dir, n, 1), mkwl())
+	p2, info, err := loom.Open(durableOpts(dir, n), mkwl())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestRecoveryWithAddedQueries(t *testing.T) {
 	if !info.Recovered {
 		t.Fatalf("no recovery: %+v", info)
 	}
-	ingestRange(t, p2, edges, twoThirds, len(edges), 1)
+	ingestRange(t, p2, edges, twoThirds, len(edges), 0)
 	p2.Flush()
 	if got, gotN := snapshotHash(p2); got != wantHash || gotN != wantN {
 		t.Fatalf("recovered run with added query: %#x/%d, want %#x/%d", got, gotN, wantHash, wantN)
@@ -353,14 +352,14 @@ func flipByte(t *testing.T, path string, off int64) {
 func TestCorruptLogTruncatesWithWarning(t *testing.T) {
 	wl, edges, n := goldenFixture(t, "dblp")
 	dir := t.TempDir()
-	opt := durableOpts(dir, n, 1)
+	opt := durableOpts(dir, n)
 	opt.WALSync = loom.WALSyncAlways
 
 	p1, _, err := loom.Open(opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, 400, 1)
+	ingestRange(t, p1, edges, 0, 400, 0)
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,19 +403,19 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	third, twoThirds := len(edges)/3, 2*len(edges)/3
 
-	p1, _, err := loom.Open(durableOpts(dir, n, 2), wl)
+	p1, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, third, 2)
+	ingestRange(t, p1, edges, 0, third, 311)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, third, twoThirds, 2)
+	ingestRange(t, p1, edges, third, twoThirds, 311)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, twoThirds, len(edges), 2)
+	ingestRange(t, p1, edges, twoThirds, len(edges), 311)
 	p1.Flush()
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
@@ -428,7 +427,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	flipByte(t, ckpts[len(ckpts)-1], 64) // newest (names sort by LSN)
 
-	p2, info, err := loom.Open(durableOpts(dir, n, 2), wl)
+	p2, info, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatalf("corrupt newest checkpoint must fall back, not fail: %v", err)
 	}
@@ -447,14 +446,14 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 func TestMissingSegmentIsTypedError(t *testing.T) {
 	wl, edges, n := goldenFixture(t, "dblp")
 	dir := t.TempDir()
-	opt := durableOpts(dir, n, 1)
+	opt := durableOpts(dir, n)
 	opt.WALSegmentBytes = 2048 // force several segments
 
 	p1, _, err := loom.Open(opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, 600, 1)
+	ingestRange(t, p1, edges, 0, 600, 0)
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +476,11 @@ func TestMissingSegmentIsTypedError(t *testing.T) {
 func TestMismatchedConfigIsTypedError(t *testing.T) {
 	wl, edges, n := goldenFixture(t, "dblp")
 	dir := t.TempDir()
-	p1, _, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p1, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, 200, 1)
+	ingestRange(t, p1, edges, 0, 200, 0)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +488,7 @@ func TestMismatchedConfigIsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	badOpt := durableOpts(dir, n, 1)
+	badOpt := durableOpts(dir, n)
 	badOpt.Partitions = 16
 	if _, _, err := loom.Open(badOpt, wl); !errors.Is(err, loom.ErrWALConfig) {
 		t.Fatalf("Open with different Partitions = %v, want ErrWALConfig", err)
@@ -499,33 +498,35 @@ func TestMismatchedConfigIsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loom.Open(durableOpts(dir, n, 1), otherWL); !errors.Is(err, loom.ErrWALConfig) {
+	if _, _, err := loom.Open(durableOpts(dir, n), otherWL); !errors.Is(err, loom.ErrWALConfig) {
 		t.Fatalf("Open with different workload = %v, want ErrWALConfig", err)
 	}
 
 	// The matching config still opens fine.
-	p2, _, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p2, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2.Close()
 }
 
-// TestCheckpointPortableAcrossWorkers: Workers shapes only scheduling,
-// never placement (PR 4's bit-identity), so a checkpoint written under
-// one worker count must restore under another and still hit the golden
-// hash.
+// TestCheckpointPortableAcrossWorkers: the deprecated Workers field is
+// not part of the checkpoint's config fingerprint, so a checkpoint written
+// with one value (and batch ingest) must restore under another (and
+// per-edge ingest) and still hit the golden hash.
 func TestCheckpointPortableAcrossWorkers(t *testing.T) {
 	wl, edges, n := goldenFixture(t, "lubm")
 	want := goldenPlacements["lubm"]
 	dir := t.TempDir()
 	half := len(edges) / 2
 
-	p1, _, err := loom.Open(durableOpts(dir, n, 4), wl)
+	opt := durableOpts(dir, n)
+	opt.Workers = 4
+	p1, _, err := loom.Open(opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p1, edges, 0, half, 4)
+	ingestRange(t, p1, edges, 0, half, 311)
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +534,8 @@ func TestCheckpointPortableAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, info, err := loom.Open(durableOpts(dir, n, 1), wl)
+	opt.Workers = 1
+	p2, info, err := loom.Open(opt, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +543,7 @@ func TestCheckpointPortableAcrossWorkers(t *testing.T) {
 	if !info.Recovered {
 		t.Fatalf("no recovery: %+v", info)
 	}
-	ingestRange(t, p2, edges, half, len(edges), 1)
+	ingestRange(t, p2, edges, half, len(edges), 0)
 	p2.Flush()
 	if got, vertices := snapshotHash(p2); got != want.hash || uint64(vertices) != want.vertices {
 		t.Fatalf("cross-worker recovery diverged: %#x/%d, want %#x/%d", got, vertices, want.hash, want.vertices)
@@ -554,11 +556,11 @@ func TestCheckpointPortableAcrossWorkers(t *testing.T) {
 func TestClosedPartitionerRefusesIngest(t *testing.T) {
 	wl, edges, n := goldenFixture(t, "dblp")
 	dir := t.TempDir()
-	p, _, err := loom.Open(durableOpts(dir, n, 1), wl)
+	p, _, err := loom.Open(durableOpts(dir, n), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestRange(t, p, edges, 0, 100, 1)
+	ingestRange(t, p, edges, 0, 100, 0)
 	p.Flush()
 	wantHash, _ := snapshotHash(p)
 	if err := p.Close(); err != nil {

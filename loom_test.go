@@ -25,7 +25,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		{4, "person", 11, "city"}, {5, "person", 11, "city"}, {6, "person", 11, "city"},
 	}
 	for _, e := range edges {
-		p.AddStreamEdge(e)
+		p.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p.Flush()
 
@@ -192,7 +192,7 @@ func TestGenerateDatasetAndWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range ordered {
-			p.AddStreamEdge(e)
+			p.AddEdge(e.U, e.LU, e.V, e.LV)
 		}
 		p.Flush()
 		ev, err := p.Evaluate()
@@ -248,7 +248,7 @@ func TestRefinePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range edges {
-		p.AddStreamEdge(e)
+		p.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p.Flush()
 	before, err := p.Evaluate()
@@ -302,7 +302,7 @@ func TestRestreamPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ordered {
-		p.AddStreamEdge(e)
+		p.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p.Flush()
 
@@ -315,7 +315,7 @@ func TestRestreamPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range reordered {
-		p2.AddStreamEdge(e)
+		p2.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p2.Flush()
 	if p2.Snapshot().NumAssigned() != len(seen) {
@@ -342,7 +342,7 @@ func TestSimulatePublicAPI(t *testing.T) {
 		{4, "person", 5, "person"}, {1, "person", 10, "city"},
 		{3, "person", 10, "city"},
 	} {
-		p.AddStreamEdge(e)
+		p.AddEdge(e.U, e.LU, e.V, e.LV)
 	}
 	p.Flush()
 	sim, err := p.Simulate(0, 0) // defaults: 1 / 1000
