@@ -784,14 +784,15 @@ func BenchmarkSnapshotClone(b *testing.B) {
 
 var sinkPart int
 
-// BenchmarkPartitionOf measures uncontended point reads against the live
-// partitioner (cache-hot vertex: the per-call floor of the read path).
+// BenchmarkPartitionOf measures uncontended point reads through the live
+// read path, p.Snapshot().PartitionOf (cache-hot vertex: the per-call
+// floor of the read path).
 func BenchmarkPartitionOf(b *testing.B) {
 	p := benchReadPartitioner(b, benchReadVertices)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, ok := p.PartitionOf(12345)
+		pt, ok := p.Snapshot().PartitionOf(12345)
 		if !ok {
 			b.Fatal("vertex missing")
 		}
@@ -808,7 +809,7 @@ func BenchmarkPartitionOfParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		v, local := int64(0), 0
 		for pb.Next() {
-			pt, _ := p.PartitionOf(v & (benchReadVertices - 1))
+			pt, _ := p.Snapshot().PartitionOf(v & (benchReadVertices - 1))
 			local += pt
 			v++
 		}

@@ -204,7 +204,7 @@ func TestRunDurableWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Flush()
-	want2 := ref.Assignments()
+	want2 := ref.Snapshot().Assignments()
 	if len(got) != len(want2) {
 		t.Fatalf("split run assigned %d vertices, flush-matched reference %d", len(got), len(want2))
 	}

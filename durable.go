@@ -166,7 +166,7 @@ func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo,
 	if err != nil {
 		return nil, info, err
 	}
-	p, err := newLoom(nopt, wl)
+	p, err := newLoom(nopt, wl, nil)
 	if err != nil {
 		wlog.Close()
 		return nil, info, err
@@ -247,13 +247,13 @@ func DamagedSegment(err error) (name string, ok bool) {
 // consistent by polling.
 //
 // The wrapped Partitioner (see Partitioner method) serves every read —
-// PartitionOf, Snapshot, Subscribe, Evaluate — but refuses direct
+// Snapshot, Subscribe, Evaluate — but refuses direct
 // ingest: state changes arrive exclusively through Poll, which applies
 // newly appended primary records under the same ingest lock, emitting
 // placement events exactly as the primary did. Because replay is
 // bit-identical (the durability guarantee PR 7 pinned), a caught-up
-// follower answers PartitionOf identically to the primary at the same log
-// position.
+// follower's Snapshot answers PartitionOf identically to the primary's at
+// the same log position.
 type Follower struct {
 	mu     sync.Mutex
 	p      *Partitioner
@@ -287,7 +287,7 @@ func followFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, 
 	if err != nil {
 		return nil, info, err
 	}
-	p, err := newLoom(nopt, wl)
+	p, err := newLoom(nopt, wl, nil)
 	if err != nil {
 		return nil, info, err
 	}
@@ -475,7 +475,7 @@ func (p *Partitioner) Sync() error {
 }
 
 // Close syncs and closes the write-ahead log. Ingest calls after Close
-// return errors; reads (Snapshot, PartitionOf, Evaluate, …) keep working.
+// return errors; reads (Snapshot, Evaluate, …) keep working.
 // Close does not write a checkpoint — call Checkpoint first for a fast
 // next Open. On a non-durable partitioner Close is a no-op.
 func (p *Partitioner) Close() error {

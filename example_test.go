@@ -24,13 +24,15 @@ func Example() {
 	p.AddEdge(4, "person", 20, "paper")
 	p.Flush()
 
-	// Coauthor clusters stay together.
-	a1, _ := p.PartitionOf(1)
-	a2, _ := p.PartitionOf(2)
-	paper1, _ := p.PartitionOf(10)
-	b1, _ := p.PartitionOf(3)
-	b2, _ := p.PartitionOf(4)
-	paper2, _ := p.PartitionOf(20)
+	// Coauthor clusters stay together. Snapshot is the read surface: an
+	// immutable view, free to take and safe to read from any goroutine.
+	snap := p.Snapshot()
+	a1, _ := snap.PartitionOf(1)
+	a2, _ := snap.PartitionOf(2)
+	paper1, _ := snap.PartitionOf(10)
+	b1, _ := snap.PartitionOf(3)
+	b2, _ := snap.PartitionOf(4)
+	paper2, _ := snap.PartitionOf(20)
 	fmt.Println("cluster 1 together:", a1 == a2 && a2 == paper1)
 	fmt.Println("cluster 2 together:", b1 == b2 && b2 == paper2)
 	// Output:
@@ -59,7 +61,7 @@ func ExampleNewBaseline() {
 	}
 	h.AddEdge(1, "a", 2, "b")
 	h.Flush()
-	sizes := h.Sizes()
+	sizes := h.Snapshot().Sizes()
 	total := 0
 	for _, s := range sizes {
 		total += s

@@ -52,14 +52,16 @@ func main() {
 	// 4. Drain the sliding window at end-of-stream.
 	p.Flush()
 
-	// 5. Read placements.
+	// 5. Read placements through a snapshot: an immutable view, free to
+	// take and safe to read from any goroutine while ingest continues.
+	snap := p.Snapshot()
 	fmt.Println("vertex -> partition:")
 	for v := int64(1); v <= 11; v++ {
-		if part, ok := p.PartitionOf(v); ok {
+		if part, ok := snap.PartitionOf(v); ok {
 			fmt.Printf("  %2d -> %d\n", v, part)
 		}
 	}
-	fmt.Printf("partition sizes: %v\n", p.Sizes())
+	fmt.Printf("partition sizes: %v\n", snap.Sizes())
 
 	// 6. Evaluate quality: inter-partition traversals for the workload.
 	ev, err := p.Evaluate()

@@ -72,7 +72,8 @@ func main() {
 		}
 	}
 
-	// A snapshot is a consistent view that can be read at any time without
+	// Snapshot is the one way to read placements: the consistent view the
+	// last batch boundary published, free to take at any time without
 	// blocking ingest; vertices still in Ptemp are reported as unassigned.
 	snap := p.Snapshot()
 	if part, ok := snap.PartitionOf(edges[0].U); ok {
@@ -81,7 +82,7 @@ func main() {
 	}
 
 	p.Flush()
-	fmt.Printf("final sizes: %v\n", p.Sizes())
+	fmt.Printf("final sizes: %v\n", p.Snapshot().Sizes())
 	ev, err := p.Evaluate()
 	if err != nil {
 		log.Fatal(err)

@@ -185,7 +185,7 @@ func readMix(ds string, readers int, cfg Config) (ReadMixRow, error) {
 				// overlap the reader still yields a real sample.
 				for i := r; ; i += 7 {
 					v := stream[i%len(stream)].U
-					p.PartitionOf(v)
+					p.Snapshot().PartitionOf(v)
 					n++
 					if n&1023 == 0 && done.Load() {
 						break

@@ -125,7 +125,7 @@ func mirroredStream(ds string, cfg Config) (*loom.Partitioner, *router.Mirror, [
 
 // routeMix runs one dataset through AddBatch with routers hammering
 // Mirror.Lookup — the full serving path (mirror table + pinned
-// generation), not the partitioner's own PartitionOf.
+// generation), not the partitioner's own Snapshot.
 func routeMix(ds string, routers int, cfg Config) (RouteMixRow, error) {
 	row := RouteMixRow{Dataset: ds, Routers: routers}
 	bestIngest := time.Duration(1<<63 - 1)

@@ -55,10 +55,7 @@ func (h *Hash) Flush() {}
 // Assignment implements Streamer.
 func (h *Hash) Assignment() *Assignment { return h.t.Assignment() }
 
-// Snapshot implements Streamer.
-func (h *Hash) Snapshot() *Assignment { return h.t.Snapshot() }
-
-// Tracker exposes the underlying tracker (benchmarks inspect sizes).
+// Tracker implements Streamer.
 func (h *Hash) Tracker() *Tracker { return h.t }
 
 // ---------------------------------------------------------------------------
@@ -107,10 +104,7 @@ func (l *LDG) Flush() {}
 // Assignment implements Streamer.
 func (l *LDG) Assignment() *Assignment { return l.t.Assignment() }
 
-// Snapshot implements Streamer.
-func (l *LDG) Snapshot() *Assignment { return l.t.Snapshot() }
-
-// Tracker exposes the underlying tracker.
+// Tracker implements Streamer.
 func (l *LDG) Tracker() *Tracker { return l.t }
 
 // ---------------------------------------------------------------------------
@@ -196,10 +190,7 @@ func (f *Fennel) Flush() {}
 // Assignment implements Streamer.
 func (f *Fennel) Assignment() *Assignment { return f.t.Assignment() }
 
-// Snapshot implements Streamer.
-func (f *Fennel) Snapshot() *Assignment { return f.t.Snapshot() }
-
-// Tracker exposes the underlying tracker.
+// Tracker implements Streamer.
 func (f *Fennel) Tracker() *Tracker { return f.t }
 
 // Alpha returns the derived α parameter (for tests and diagnostics).

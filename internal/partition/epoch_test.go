@@ -153,3 +153,50 @@ func TestEpochOfUnknown(t *testing.T) {
 		t.Errorf("held epoch sees post-publish vertex: Of(999) = %d", got)
 	}
 }
+
+// TestEpochOfAssignment: an epoch built from an offline assignment reports
+// exactly its placements, sizes and count — including the Unassigned holes
+// and a partial last page — and later edits to the assignment do not
+// reach it.
+func TestEpochOfAssignment(t *testing.T) {
+	const k, n = 3, PageSize + PageSize/3
+	a := NewAssignment(k)
+	for v := 0; v < n; v++ {
+		if v%5 == 0 { // every fifth vertex is a hole: interned, Unassigned
+			a.verts.Intern(int64(v))
+			continue
+		}
+		a.Set(graph.VertexID(v), ID(v%k))
+	}
+	a.verts.Intern(int64(n)) // interned but never placed
+	e := EpochOf(a)
+	if e.K() != k || e.NumAssigned() != a.NumAssigned() {
+		t.Fatalf("epoch k=%d assigned=%d, want k=%d assigned=%d", e.K(), e.NumAssigned(), k, a.NumAssigned())
+	}
+	for p, s := range a.Sizes {
+		if e.Sizes()[p] != s {
+			t.Fatalf("epoch sizes %v, want %v", e.Sizes(), a.Sizes)
+		}
+	}
+	for v := 0; v <= n+1; v++ {
+		if got, want := e.Of(graph.VertexID(v)), a.Of(graph.VertexID(v)); got != want {
+			t.Fatalf("Of(%d) = %d, want %d", v, got, want)
+		}
+	}
+	each := 0
+	e.Each(func(v graph.VertexID, p ID) {
+		each++
+		if a.Of(v) != p {
+			t.Fatalf("Each(%d) = %d, assignment says %d", v, p, a.Of(v))
+		}
+	})
+	if each != a.NumAssigned() {
+		t.Fatalf("Each visited %d, want %d", each, a.NumAssigned())
+	}
+
+	a.Set(1, ID(2)) // was 1
+	a.Set(0, ID(0)) // was a hole
+	if e.Of(1) != 1 || e.Of(0) != Unassigned || e.Sizes()[2] == a.Sizes[2] {
+		t.Fatal("editing the assignment changed the epoch built from it")
+	}
+}

@@ -62,10 +62,10 @@ type Streamer interface {
 	// returned value copies the per-vertex placements but shares the
 	// (grow-only) vertex table with the streamer.
 	Assignment() *Assignment
-	// Snapshot returns a fully isolated copy of the current assignment:
-	// placements, sizes and the vertex table are all deep-copied, so the
-	// snapshot stays consistent and race-free while streaming continues.
-	Snapshot() *Assignment
+	// Tracker returns the streamer's placement state, whose Publish feeds
+	// the public layer's lock-free read path and whose assign hook feeds
+	// its placement events.
+	Tracker() *Tracker
 }
 
 // Assignment is the result of a partitioning run: a dense slice of
@@ -281,6 +281,38 @@ func (e *Epoch) Each(f func(v graph.VertexID, p ID)) {
 			}
 		}
 	}
+}
+
+// EpochOf wraps an offline assignment (a refined one, say) as an epoch,
+// copying its dense parts into fresh pages so later edits to the
+// assignment cannot reach readers. Like Tracker.Publish it captures a view
+// of the vertex table, so it must not race an Intern into that table. Its
+// Seq is 0: it belongs to no tracker's publish sequence.
+func EpochOf(a *Assignment) *Epoch {
+	n := len(a.parts)
+	pages := make([]*page, (n+PageSize-1)>>PageBits)
+	for pi := range pages {
+		pages[pi] = pageOf(a.parts, pi)
+	}
+	return &Epoch{
+		k:        a.K,
+		numVerts: n,
+		assigned: a.assigned,
+		sizes:    append([]int(nil), a.Sizes...),
+		pages:    pages,
+		verts:    a.verts.View(),
+	}
+}
+
+// pageOf copies page pi of a dense parts slice into a fresh page, padding
+// the tail beyond len(parts) with Unassigned.
+func pageOf(parts []ID, pi int) *page {
+	pg := new(page)
+	m := copy(pg[:], parts[pi<<PageBits:])
+	for j := m; j < PageSize; j++ {
+		pg[j] = Unassigned
+	}
+	return pg
 }
 
 // Materialise flattens the epoch into an Assignment for offline consumers
@@ -617,9 +649,6 @@ func (t *Tracker) Assign(v graph.VertexID, p ID) { t.AssignIdx(t.Intern(v), p) }
 // Size returns |V(Si)| for partition p.
 func (t *Tracker) Size(p ID) int { return t.sizes[p] }
 
-// Sizes returns a copy of the per-partition vertex counts.
-func (t *Tracker) Sizes() []int { return append([]int(nil), t.sizes...) }
-
 // NumAssigned returns the number of assigned vertices.
 func (t *Tracker) NumAssigned() int { return t.assigned }
 
@@ -759,13 +788,7 @@ func (t *Tracker) Publish() *Epoch {
 		if t.pages[pi] != nil && !t.pageDirty[pi] {
 			continue
 		}
-		pg := new(page)
-		base := pi << PageBits
-		m := copy(pg[:], t.parts[base:n])
-		for j := m; j < PageSize; j++ {
-			pg[j] = Unassigned
-		}
-		t.pages[pi] = pg
+		t.pages[pi] = pageOf(t.parts, pi)
 		t.pageDirty[pi] = false
 		changed = true
 	}

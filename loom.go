@@ -41,8 +41,9 @@
 // unchanged: AddEdge remains (it delegates to AddEdgeE and panics on
 // corrupt input, as it always did), while AddBatch/AddEdgeE return errors
 // and Err exposes the first ingest error. Prefer AddBatch for throughput —
-// it pays the ingest lock once per batch instead of once per edge — and
-// Snapshot for reads that must not block (or be blocked by) ingest.
+// it pays the ingest lock once per batch instead of once per edge. Read
+// placements through Snapshot, the one read surface: it neither blocks
+// nor is blocked by ingest.
 //
 // The package also exposes the paper's baseline streaming partitioners
 // (Hash, LDG, Fennel) behind the same interface via NewBaseline, the
@@ -313,25 +314,24 @@ type Stats struct {
 //
 // A Partitioner is safe for concurrent use: ingest (AddBatch, AddEdge,
 // Flush) serialises behind a single writer lock, so any number of producer
-// goroutines can feed one partitioner, and reads (PartitionOf, Sizes,
-// Snapshot, …) observe only batch-atomic states — never a half-applied
-// eviction. Reads do not take the lock at all on the common path: every
-// batch boundary publishes an immutable copy-on-write epoch of the
-// assignment through an atomic pointer, so PartitionOf and Snapshot run
-// lock-free against the last published epoch while producers keep
-// ingesting. The underlying streamers remain single-threaded; this type is
-// the concurrency boundary.
+// goroutines can feed one partitioner. Placements have one read surface,
+// Snapshot: every batch boundary publishes an immutable Snapshot, backed by
+// a copy-on-write epoch of the assignment, through an atomic pointer, and
+// Snapshot returns it with one atomic load — no lock, no allocation — so
+// readers observe only batch-atomic states (never a half-applied eviction)
+// while producers keep ingesting. The underlying streamers remain
+// single-threaded; this type is the concurrency boundary.
 type Partitioner struct {
 	name string
 	opt  Options
 
-	// view is the lock-free read surface: the latest published epoch (or
-	// the refined assignment), swapped atomically at every batch boundary
-	// with the write lock held. pending flags per-edge ingest (AddEdgeE)
-	// that has not been published yet: while set, readers fall back to the
-	// locked paths so they never miss their own writes. Both are read
+	// view is the read surface: the Snapshot of the latest published epoch
+	// (or of the refined placement), swapped atomically at every batch
+	// boundary with the write lock held. pending flags per-edge ingest
+	// (AddEdgeE) that has not been published yet; Snapshot publishes it
+	// before reading, so callers always see their own writes. Both are read
 	// without the lock.
-	view    atomic.Pointer[readView]
+	view    atomic.Pointer[Snapshot]
 	pending atomic.Bool
 
 	// mu guards every field below: ingest and other mutations take the
@@ -339,7 +339,7 @@ type Partitioner struct {
 	// the write lock is held (see Subscribe).
 	mu       sync.RWMutex
 	streamer partition.Streamer
-	tr       *partition.Tracker // streamer's tracker (cheap reads, event hook)
+	tr       *partition.Tracker // streamer's tracker (epoch publish, event hook)
 	loom     *core.Loom         // non-nil only for algo == loom
 	trie     *tpstry.Trie
 	wl       *Workload
@@ -349,9 +349,9 @@ type Partitioner struct {
 	// the log's chunk list — and replay it into a private graph with no
 	// lock held, so evaluations never stall ingest.
 	g *graph.Graph
-	// refined, when non-nil, supersedes the streamer's assignment (set by
-	// Refine).
-	refined *partition.Assignment
+	// refined, when non-nil, supersedes the streamer's epochs on the read
+	// surface (set by Refine).
+	refined *partition.Epoch
 
 	err      error // first ingest error (sticky; see Err)
 	seq      uint64
@@ -393,58 +393,28 @@ type addedQuery struct {
 	freq float64
 }
 
-// readView is one published read surface: exactly one of epoch (the
-// streamer's latest copy-on-write epoch) or refined (the immutable
-// assignment installed by Refine) is non-nil. Both are immutable, so a
-// single atomic load hands a reader a complete consistent view.
-type readView struct {
-	epoch   *partition.Epoch
-	refined *partition.Assignment
-}
-
-// publishLocked publishes the current assignment state to the lock-free
-// read surface; p.mu must be held for writing (every mutation path ends
-// here, making batch boundaries the epochs' consistent points). Returns nil
-// for streamers without a tracker (no shipped streamer lacks one).
-func (p *Partitioner) publishLocked() *readView {
-	var rv *readView
-	switch {
-	case p.refined != nil:
-		if prev := p.view.Load(); prev != nil && prev.refined == p.refined {
-			rv = prev
-		} else {
-			rv = &readView{refined: p.refined}
-			p.view.Store(rv)
-		}
-	case p.tr != nil:
-		e := p.tr.Publish()
-		if prev := p.view.Load(); prev != nil && prev.epoch == e {
-			rv = prev
-		} else {
-			rv = &readView{epoch: e}
-			p.view.Store(rv)
-		}
+// publishLocked publishes the current placement — the streamer's latest
+// epoch, or the refined one — as the read surface and returns it; p.mu
+// must be held for writing (every mutation path ends here, making batch
+// boundaries the snapshots' consistent points). An unchanged epoch keeps
+// its published Snapshot, so readers see the same pointer until ingest
+// places something.
+func (p *Partitioner) publishLocked() *Snapshot {
+	e := p.refined
+	if e == nil {
+		e = p.tr.Publish()
+	}
+	s := p.view.Load()
+	if s == nil || s.e != e {
+		s = &Snapshot{name: p.name, e: e}
+		p.view.Store(s)
 	}
 	// Clear only after the view store: a reader that observes
 	// pending == false is guaranteed to load a view at least as fresh as
 	// every write that preceded this publish.
 	p.pending.Store(false)
-	return rv
+	return s
 }
-
-// loadView returns the published read surface when it is current — no
-// unpublished per-edge ingest — or nil, in which case the caller takes a
-// locked fallback path.
-func (p *Partitioner) loadView() *readView {
-	if p.pending.Load() {
-		return nil
-	}
-	return p.view.Load()
-}
-
-// tracked is the capability the public layer uses for cheap placement
-// reads and event hooks; every shipped streamer exposes its tracker.
-type tracked interface{ Tracker() *partition.Tracker }
 
 func (o Options) normalise() (Options, error) {
 	if o.Partitions < 1 {
@@ -506,12 +476,13 @@ func New(opt Options, wl *Workload) (*Partitioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLoom(opt, wl)
+	return newLoom(opt, wl, nil)
 }
 
-// newLoom is New after option validation, shared with Open (which builds
-// the same fresh partitioner and then restores state into it).
-func newLoom(opt Options, wl *Workload) (*Partitioner, error) {
+// newLoom is New after option validation, shared with Open and Follow
+// (which build the same fresh partitioner and then restore state into it)
+// and with Restream (which passes its restreaming prior).
+func newLoom(opt Options, wl *Workload, prior *partition.Assignment) (*Partitioner, error) {
 	if wl == nil || wl.Len() == 0 {
 		return nil, fmt.Errorf("loom: a non-empty workload is required (use NewBaseline for workload-agnostic partitioning)")
 	}
@@ -531,6 +502,7 @@ func newLoom(opt Options, wl *Workload) (*Partitioner, error) {
 		SupportThreshold: opt.SupportThreshold,
 		Alpha:            opt.Alpha,
 		MaxImbalance:     opt.MaxImbalance,
+		Prior:            prior,
 	}, trie)
 	if err != nil {
 		return nil, err
@@ -590,10 +562,7 @@ func NewBaseline(algo string, opt Options, wl *Workload) (*Partitioner, error) {
 	default:
 		return nil, fmt.Errorf("loom: unknown baseline %q (want hash, ldg or fennel)", algo)
 	}
-	p := &Partitioner{name: algo, streamer: s, wl: wl, opt: opt}
-	if tk, ok := s.(tracked); ok {
-		p.tr = tk.Tracker()
-	}
+	p := &Partitioner{name: algo, streamer: s, tr: s.Tracker(), wl: wl, opt: opt}
 	if p.g, err = newRecordedGraph(opt); err != nil {
 		return nil, err
 	}
@@ -672,34 +641,18 @@ func (p *Partitioner) applyBatchLocked(batch []StreamEdge) error {
 func (p *Partitioner) AddEdgeE(u int64, lu string, v int64, lv string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.wal != nil || p.walClosed || p.follower {
-		// Logged as (and replayed exactly like) a one-edge batch; the
-		// golden tests pin the two paths bit-identical.
-		one := [1]StreamEdge{{U: u, LU: lu, V: v, LV: lv}}
-		if err := p.walAppendBatch(one[:]); err != nil {
-			return err
-		}
+	// A one-edge batch: logged, replayed and applied exactly like AddBatch's
+	// (the golden tests pin the two paths bit-identical).
+	one := [1]StreamEdge{{U: u, LU: lu, V: v, LV: lv}}
+	if err := p.walAppendBatch(one[:]); err != nil {
+		return err
 	}
-	se := graph.StreamEdge{
-		U: graph.VertexID(u), LU: graph.Label(lu),
-		V: graph.VertexID(v), LV: graph.Label(lv),
-	}
-	if p.g != nil {
-		if _, err := p.g.EnsureEdge(se.U, se.LU, se.V, se.LV); err != nil {
-			err = fmt.Errorf("loom: %w", err)
-			if p.err == nil {
-				p.err = err
-			}
-			return err
-		}
-	}
-	p.streamer.ProcessEdge(se)
+	err := p.applyBatchLocked(one[:])
 	// Per-edge ingest does not pay a publish per call (that would copy a
 	// dirty page per edge); it flags the read surface stale instead, and
-	// readers fall back to the locked path until the next batch boundary
-	// (AddBatch, Flush, or a Snapshot) publishes.
+	// the next Snapshot publishes it first.
 	p.pending.Store(true)
-	return nil
+	return err
 }
 
 // AddEdge feeds one stream edge. It is the historical per-edge ingest
@@ -858,11 +811,9 @@ func (p *Partitioner) installEventHooksLocked() {
 		return
 	}
 	p.evHooked = true
-	if p.tr != nil {
-		p.tr.SetAssignHook(func(v int64, id partition.ID) {
-			p.emit(PlacementEvent{Kind: EventPlace, V: v, Partition: int(id)})
-		})
-	}
+	p.tr.SetAssignHook(func(v int64, id partition.ID) {
+		p.emit(PlacementEvent{Kind: EventPlace, V: v, Partition: int(id)})
+	})
 	if p.loom != nil {
 		p.loom.SetEvictHook(func(u, v int64) {
 			p.emit(PlacementEvent{Kind: EventEvict, V: u, Other: v, Partition: -1})
@@ -889,81 +840,44 @@ func (p *Partitioner) emit(ev PlacementEvent) {
 // replaced.
 type Snapshot struct {
 	name string
-	e    *partition.Epoch      // epoch-backed (the common case)
-	a    *partition.Assignment // assignment-backed: refined, or the deep-copy fallback
+	e    *partition.Epoch
 
 	asgOnce sync.Once
 	asg     map[int64]int // memoised Assignments result
 }
 
-// newSnapshot wraps a published read view.
-func newSnapshot(name string, rv *readView) *Snapshot {
-	if rv.refined != nil {
-		return &Snapshot{name: name, a: rv.refined}
-	}
-	return &Snapshot{name: name, e: rv.epoch}
-}
-
-// Snapshot captures the current assignment (the refined one, if Refine has
-// run). The capture is O(1) — one atomic load of the last published epoch,
-// no lock, no per-vertex copying — so routers can snapshot at arbitrary
-// frequency while ingest continues. Because ingest applies batches
-// atomically and publishes at batch boundaries, a snapshot always
+// Snapshot returns the current placement (the refined one, if Refine has
+// run). It is the only way to read placements, and it is free: the
+// partitioner publishes one immutable Snapshot at every batch boundary, and
+// Snapshot returns it with one atomic load — no lock, no allocation, no
+// per-vertex copying — so routers can read at arbitrary frequency while
+// ingest continues. Two calls with no ingest between them return the same
+// pointer. Because ingest applies batches atomically, a snapshot always
 // corresponds to a batch boundary — the state some single-threaded prefix
 // replay of the stream would produce. (After per-edge AddEdge ingest the
-// capture briefly takes the ingest lock to publish the unpublished tail;
-// batch ingest never pays this.)
+// call briefly takes the ingest lock to publish the unpublished tail, so
+// callers see their own writes; batch ingest never pays this.)
 func (p *Partitioner) Snapshot() *Snapshot {
-	if rv := p.loadView(); rv != nil {
-		return newSnapshot(p.name, rv)
+	if p.pending.Load() {
+		p.mu.Lock()
+		p.publishLocked()
+		p.mu.Unlock()
 	}
-	// Per-edge ingest left the published epoch stale: publish the tail.
-	p.mu.Lock()
-	rv := p.publishLocked()
-	p.mu.Unlock()
-	if rv != nil {
-		return newSnapshot(p.name, rv)
-	}
-	// No tracker (never the case for shipped streamers): isolated deep copy.
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return &Snapshot{name: p.name, a: p.snapshotLocked()}
-}
-
-// snapshotLocked returns an isolated assignment; p.mu must be held (read
-// or write). The refined assignment is immutable once installed (Refine
-// replaces it wholesale and its vertex table — a pre-refine snapshot clone
-// — never grows), so it is shared rather than copied; the live tracker's
-// state is cloned.
-func (p *Partitioner) snapshotLocked() *partition.Assignment {
-	if p.refined != nil {
-		return p.refined
-	}
-	return p.streamer.Snapshot()
+	return p.view.Load()
 }
 
 // Name returns the algorithm name that produced the snapshot.
 func (s *Snapshot) Name() string { return s.name }
 
 // Partitions returns k.
-func (s *Snapshot) Partitions() int {
-	if s.e != nil {
-		return s.e.K()
-	}
-	return s.a.K
-}
+func (s *Snapshot) Partitions() int { return s.e.K() }
 
 // PartitionOf returns v's partition in [0, Partitions), or ok = false if v
 // was unassigned when the snapshot was taken (not yet seen, or still
 // buffered in the window Ptemp). Point reads are lock-free and allocate
 // nothing.
 func (s *Snapshot) PartitionOf(v int64) (int, bool) {
-	var id partition.ID
-	if s.e != nil {
-		id = s.e.Of(graph.VertexID(v))
-	} else {
-		id = s.a.Of(graph.VertexID(v))
-	}
+	id := s.e.Of(graph.VertexID(v))
 	if id == partition.Unassigned {
 		return 0, false
 	}
@@ -974,20 +888,10 @@ func (s *Snapshot) PartitionOf(v int64) (int, bool) {
 // computed once when the snapshot's state was captured; the returned slice
 // is shared and immutable — callers must not modify it (copy first if you
 // need a mutable slice).
-func (s *Snapshot) Sizes() []int {
-	if s.e != nil {
-		return s.e.Sizes()
-	}
-	return s.a.Sizes
-}
+func (s *Snapshot) Sizes() []int { return s.e.Sizes() }
 
 // NumAssigned returns the number of placed vertices.
-func (s *Snapshot) NumAssigned() int {
-	if s.e != nil {
-		return s.e.NumAssigned()
-	}
-	return s.a.NumAssigned()
-}
+func (s *Snapshot) NumAssigned() int { return s.e.NumAssigned() }
 
 // Imbalance returns max |Vi|/(n/k) − 1 over the snapshot.
 func (s *Snapshot) Imbalance() float64 {
@@ -998,17 +902,14 @@ func (s *Snapshot) Imbalance() float64 {
 // zero-alloc bulk read: it walks the snapshot's shared pages directly,
 // allocating nothing (unlike Assignments, which materialises a map).
 func (s *Snapshot) Each(f func(v int64, part int)) {
-	if s.e != nil {
-		s.e.Each(func(v graph.VertexID, id partition.ID) { f(int64(v), int(id)) })
-		return
-	}
-	s.a.Each(func(v graph.VertexID, id partition.ID) { f(int64(v), int(id)) })
+	s.e.Each(func(v graph.VertexID, id partition.ID) { f(int64(v), int(id)) })
 }
 
 // Assignments materialises the snapshot as a vertex → partition map. The
-// map is built once on first call and memoised — subsequent calls return
-// the same map — so callers must treat it as read-only (the snapshot is
-// immutable; iterate with Each for allocation-free bulk reads).
+// map is built once on first call and memoised — every reader of this
+// snapshot (the published one is shared) gets the same map — so callers
+// must treat it as read-only and copy it before modifying (iterate with
+// Each for allocation-free bulk reads).
 func (s *Snapshot) Assignments() map[int64]int {
 	s.asgOnce.Do(func() {
 		out := make(map[int64]int, s.NumAssigned())
@@ -1018,93 +919,8 @@ func (s *Snapshot) Assignments() map[int64]int {
 	return s.asg
 }
 
-// PartitionOf returns v's partition in [0, Partitions), or ok = false while
-// v is unassigned (not yet seen, or still buffered in the window Ptemp).
-//
-// The read is lock-free: one atomic load of the last published epoch, a
-// concurrent hash probe and two array indexes — no mutex, no allocation —
-// so any number of reader goroutines can issue point reads at full speed
-// while producers ingest. It reflects the last batch boundary; only after
-// per-edge AddEdge ingest (which defers publishing) does it fall back to a
-// read-locked path so callers still see their own writes.
-func (p *Partitioner) PartitionOf(v int64) (int, bool) {
-	if rv := p.loadView(); rv != nil {
-		var id partition.ID
-		if rv.refined != nil {
-			id = rv.refined.Of(graph.VertexID(v))
-		} else {
-			id = rv.epoch.Of(graph.VertexID(v))
-		}
-		if id == partition.Unassigned {
-			return 0, false
-		}
-		return int(id), true
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var id partition.ID
-	switch {
-	case p.refined != nil:
-		id = p.refined.Of(graph.VertexID(v))
-	case p.tr != nil:
-		id = p.tr.PartOf(graph.VertexID(v))
-	default:
-		id = p.streamer.Assignment().Of(graph.VertexID(v))
-	}
-	if id == partition.Unassigned {
-		return 0, false
-	}
-	return int(id), true
-}
-
 // Partitions returns k.
 func (p *Partitioner) Partitions() int { return p.opt.Partitions }
-
-// Sizes returns the current vertex count of each partition as a fresh
-// copy, read atomically (a concurrent eviction's cluster assignment is
-// either fully included or not at all). Lock-free on the common path, like
-// PartitionOf.
-func (p *Partitioner) Sizes() []int {
-	if rv := p.loadView(); rv != nil {
-		if rv.refined != nil {
-			return append([]int(nil), rv.refined.Sizes...)
-		}
-		return append([]int(nil), rv.epoch.Sizes()...)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	switch {
-	case p.refined != nil:
-		return append([]int(nil), p.refined.Sizes...)
-	case p.tr != nil:
-		return p.tr.Sizes()
-	default:
-		return append([]int(nil), p.streamer.Assignment().Sizes...)
-	}
-}
-
-// Assignments returns a copy of the full vertex → partition map, taken
-// from a consistent snapshot (it can never observe a half-applied batch or
-// eviction). The map is built from the last published epoch with no lock
-// held on the common path.
-func (p *Partitioner) Assignments() map[int64]int {
-	if rv := p.loadView(); rv != nil {
-		// A fresh wrapper per call keeps the documented copy semantics
-		// (the memoised map is shared only within one Snapshot).
-		return newSnapshot(p.name, rv).Assignments()
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var a *partition.Assignment
-	if p.refined != nil {
-		a = p.refined
-	} else {
-		a = p.streamer.Assignment()
-	}
-	out := make(map[int64]int, a.NumAssigned())
-	a.Each(func(v graph.VertexID, id partition.ID) { out[int64(v)] = int(id) })
-	return out
-}
 
 // Stats returns processing counters (Loom-specific fields are zero for
 // baselines).
@@ -1170,11 +986,11 @@ type Evaluation struct {
 // assignment. The Partitioner must have been built with graph recording
 // enabled and (for baselines) a workload.
 //
-// Evaluate runs on a snapshot captured in O(1) under the read lock — the
-// last published epoch plus the accepted-edge log's current length —
-// after which the graph replay and the workload execution (typically far
-// more expensive) run with no lock held, so concurrent AddBatch never
-// stalls behind an in-flight evaluation.
+// Evaluate runs on the published snapshot and the accepted-edge log's
+// current length, captured together under the ingest lock in O(1) (plus
+// publishing any per-edge tail), after which the graph replay and the
+// workload execution (typically far more expensive) run with no lock held,
+// so concurrent AddBatch never stalls behind an in-flight evaluation.
 //
 // Replay window: the replayed graph is every accepted edge since the
 // partitioner started (or was recovered) — checkpoints bound the log's
@@ -1184,14 +1000,12 @@ type Evaluation struct {
 // its replay window stays complete. Without a spill directory the log is
 // fully resident at ~2–4 bytes per accepted edge.
 func (p *Partitioner) Evaluate() (Evaluation, error) {
-	rec, e, a, iwl, err := p.captureEval("Evaluate")
+	rec, e, iwl, err := p.captureEval("Evaluate")
 	if err != nil {
 		return Evaluation{}, err
 	}
 	// No lock held from here: flatten the epoch and replay the graph.
-	if a == nil {
-		a = e.Materialise()
-	}
+	a := e.Materialise()
 	g := replayRecorded(rec)
 	res, err := workload.Execute(g, a, iwl, workload.Options{})
 	if err != nil {
@@ -1205,32 +1019,20 @@ func (p *Partitioner) Evaluate() (Evaluation, error) {
 	}, nil
 }
 
-// captureEval captures a consistent (accepted-edge replay, assignment)
-// pair for Evaluate/Simulate under the read lock, in O(1) on the common
-// path: the replay pins append-only headers and the edge log's immutable
-// chunk list, and the epoch/refined view is immutable. Exactly one of the
-// returned epoch and assignment is non-nil; after per-edge ingest, whose
-// tail is unpublished, it degrades to the isolated O(V) assignment
-// capture.
-func (p *Partitioner) captureEval(op string) (graph.Replay, *partition.Epoch, *partition.Assignment, workload.Workload, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+// captureEval captures a consistent (accepted-edge replay, published
+// epoch) pair for Evaluate/Simulate under the ingest lock: the replay pins
+// append-only headers and the edge log's immutable chunk list, and the
+// epoch is immutable.
+func (p *Partitioner) captureEval(op string) (graph.Replay, *partition.Epoch, workload.Workload, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.g == nil {
-		return graph.Replay{}, nil, nil, workload.Workload{}, fmt.Errorf("loom: graph recording disabled; %s unavailable", op)
+		return graph.Replay{}, nil, workload.Workload{}, fmt.Errorf("loom: graph recording disabled; %s unavailable", op)
 	}
 	if p.wl == nil || p.wl.Len() == 0 {
-		return graph.Replay{}, nil, nil, workload.Workload{}, fmt.Errorf("loom: no workload to %s against", op)
+		return graph.Replay{}, nil, workload.Workload{}, fmt.Errorf("loom: no workload to %s against", op)
 	}
-	rec := p.g.CaptureReplay()
-	var e *partition.Epoch
-	var a *partition.Assignment
-	if rv := p.loadView(); rv != nil { // under RLock: replay and view are mutually consistent
-		e, a = rv.epoch, rv.refined
-	}
-	if e == nil && a == nil {
-		a = p.snapshotLocked()
-	}
-	return rec, e, a, p.wl.internal(), nil
+	return p.g.CaptureReplay(), p.publishLocked().e, p.wl.internal(), nil
 }
 
 // replayRecorded rebuilds the recorded graph from the accepted-edge
@@ -1267,18 +1069,19 @@ type RefineStats struct {
 // Refine runs the offline TAPER-style re-partitioning pass the paper
 // proposes integrating with Loom (§6): vertices migrate between partitions
 // when that reduces the workload-weighted edge cut, within the balance
-// bound. It requires graph recording and a workload; the partitioner's
-// assignment is updated in place conceptually — subsequent PartitionOf and
-// Evaluate calls observe the refined placement, but the streaming state is
-// finished: call only after Flush.
+// bound. It requires graph recording and a workload. The pass starts from
+// the streamer's placement and publishes its result as the read surface:
+// subsequent Snapshot and Evaluate calls observe the refined placement, but
+// the streaming state is finished — call only after Flush. Refine holds the
+// ingest lock for the whole pass (it reads the live graph and trie):
+// Snapshot reads proceed lock-free, ingest and the locked calls wait.
 func (p *Partitioner) Refine(maxPasses int) (RefineStats, error) {
-	p.mu.RLock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.g == nil {
-		p.mu.RUnlock()
 		return RefineStats{}, fmt.Errorf("loom: graph recording disabled; Refine unavailable")
 	}
 	if p.wl == nil || p.wl.Len() == 0 {
-		p.mu.RUnlock()
 		return RefineStats{}, fmt.Errorf("loom: no workload to refine against")
 	}
 	trie := p.trie
@@ -1287,105 +1090,44 @@ func (p *Partitioner) Refine(maxPasses int) (RefineStats, error) {
 		scheme := signature.NewScheme(p.opt.SignaturePrime, p.opt.Seed)
 		t, err := p.wl.internal().BuildTrie(scheme)
 		if err != nil {
-			p.mu.RUnlock()
 			return RefineStats{}, err
 		}
 		trie = t
 	}
-	// Refinement runs on an isolated snapshot of the graph and the
-	// streamer's assignment, but it also reads the live trie — which a
-	// concurrent AddQuery may mutate — so the read lock is held for the
-	// whole pass: concurrent reads proceed, ingest mutations wait (Refine
-	// is a post-Flush operation; there should be none). The result is
-	// swapped in atomically below.
-	g := p.g.Clone()
-	a := p.streamer.Snapshot()
-	obs := p.observedLocked()
 	opt := p.opt
-	refined, st, err := refine.Refine(g, a, trie, refine.Config{
+	refined, st, err := refine.Refine(p.g, p.tr.Publish().Materialise(), trie, refine.Config{
 		Capacity:  partition.CapacityFor(opt.ExpectedVertices, opt.Partitions, opt.MaxImbalance),
 		MaxPasses: maxPasses,
 	})
-	p.mu.RUnlock()
 	if err != nil {
 		return RefineStats{}, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// The read lock was released between refining and installing; if a
-	// producer ingested anything in that window — placed vertices, or
-	// edges merely buffered in Ptemp whose endpoints a later Flush will
-	// place — the refined assignment would silently hide them (p.refined
-	// supersedes the streamer), so refuse instead: the caller re-runs once
-	// ingest has actually quiesced.
-	if cur := p.observedLocked(); cur != obs {
-		return RefineStats{}, fmt.Errorf("loom: %d edges were ingested while Refine ran; re-run after ingest quiesces", cur-obs)
-	}
-	p.refined = refined
-	p.publishLocked() // swap the lock-free read surface to the refined view
+	p.refined = partition.EpochOf(refined)
+	p.publishLocked()
 	return RefineStats{Passes: st.Passes, Moves: st.Moves, CutBefore: st.CutBefore, CutAfter: st.CutAfter}, nil
 }
 
-// observedLocked returns the streamer's observed-edge count — which
-// advances on every non-degenerate ingest, including edges only buffered
-// in the window — falling back to the assigned-vertex count for streamers
-// without a tracker; p.mu must be held.
-func (p *Partitioner) observedLocked() int {
-	if p.tr != nil {
-		return p.tr.ObservedEdges()
-	}
-	return p.streamer.Assignment().NumAssigned()
-}
-
 // Restream returns a fresh Loom partitioner that uses this partitioner's
-// current assignment as a restreaming prior (§6 future work): replay the
+// current placement as a restreaming prior (§6 future work): replay the
 // stream (in any order) through the returned partitioner and cold-start
 // decisions will keep the localities discovered on the first pass. Only
 // available for Loom partitioners.
 func (p *Partitioner) Restream() (*Partitioner, error) {
-	p.mu.RLock()
+	p.mu.Lock()
 	if p.loom == nil {
-		name := p.name
-		p.mu.RUnlock()
-		return nil, fmt.Errorf("loom: Restream requires a Loom partitioner, not %s", name)
+		p.mu.Unlock()
+		return nil, fmt.Errorf("loom: Restream requires a Loom partitioner, not %s", p.name)
 	}
-	opt := p.opt
-	wl := p.wl
-	iwl := wl.internal()
-	// The prior is an isolated snapshot, so the returned partitioner never
+	opt, wl := p.opt, p.wl
+	// The prior is an isolated copy, so the returned partitioner never
 	// races this one's still-growing vertex table.
-	prior := p.snapshotLocked()
-	p.mu.RUnlock()
-	scheme := signature.NewScheme(opt.SignaturePrime, opt.Seed)
-	trie, err := iwl.BuildTrie(scheme)
-	if err != nil {
-		return nil, err
-	}
-	lm, err := core.New(core.Config{
-		K:                opt.Partitions,
-		Capacity:         partition.CapacityFor(opt.ExpectedVertices, opt.Partitions, opt.MaxImbalance),
-		WindowSize:       opt.WindowSize,
-		SupportThreshold: opt.SupportThreshold,
-		Alpha:            opt.Alpha,
-		MaxImbalance:     opt.MaxImbalance,
-		Prior:            prior,
-	}, trie)
-	if err != nil {
-		return nil, err
-	}
-	np := &Partitioner{
-		name: "loom", streamer: lm, tr: lm.Tracker(), loom: lm,
-		trie: trie, wl: wl, opt: opt, baseQueries: wl.Len(),
-	}
+	prior := p.publishLocked().e.Materialise().Clone()
+	p.mu.Unlock()
 	// The restream partitioner must not share the original's spill
 	// directory — its fresh edge log would overwrite the original's chunk
 	// files — so its recorded graph stays in memory.
-	memOpt := opt
-	memOpt.SpillDir = ""
-	if np.g, err = newRecordedGraph(memOpt); err != nil {
-		return nil, err
-	}
-	return np, nil
+	opt.SpillDir = ""
+	return newLoom(opt, wl, prior)
 }
 
 // Simulation reports a simulated distributed execution of the workload
@@ -1411,13 +1153,11 @@ type Simulation struct {
 func (p *Partitioner) Simulate(localCost, remoteCost float64) (Simulation, error) {
 	// Like Evaluate: O(1) capture under the read lock, replay and simulate
 	// with no lock held.
-	rec, e, a, iwl, err := p.captureEval("Simulate")
+	rec, e, iwl, err := p.captureEval("Simulate")
 	if err != nil {
 		return Simulation{}, err
 	}
-	if a == nil {
-		a = e.Materialise()
-	}
+	a := e.Materialise()
 	g := replayRecorded(rec)
 	res, err := simulate.Run(g, a, iwl,
 		simulate.CostModel{LocalCost: localCost, RemoteCost: remoteCost}, 0)

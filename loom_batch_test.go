@@ -69,9 +69,9 @@ func TestAddBatchParallelGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		ingestEdges(ref, edges)
-		want := ref.Assignments()
+		want := ref.Snapshot().Assignments()
 		wantStats := ref.Stats()
-		wantSizes := ref.Sizes()
+		wantSizes := ref.Snapshot().Sizes()
 
 		for _, size := range []int{1, 63, 211, 4096} {
 			p, err := loom.New(opt, wl)
@@ -83,12 +83,12 @@ func TestAddBatchParallelGolden(t *testing.T) {
 			if got := p.Stats(); got != wantStats {
 				t.Fatalf("%s: stats diverged:\nwant %+v\ngot  %+v", label, wantStats, got)
 			}
-			for i, s := range p.Sizes() {
+			for i, s := range p.Snapshot().Sizes() {
 				if s != wantSizes[i] {
 					t.Fatalf("%s: partition %d size %d, want %d", label, i, s, wantSizes[i])
 				}
 			}
-			got := p.Assignments()
+			got := p.Snapshot().Assignments()
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d assigned, want %d", label, len(got), len(want))
 			}
@@ -181,7 +181,7 @@ func TestAddBatchParallelStickyErrors(t *testing.T) {
 	if got := p.Err(); got == nil || got.Error() != batchErr.Error() {
 		t.Errorf("sticky Err() = %v, want %v", got, batchErr)
 	}
-	want, got := ref.Assignments(), p.Assignments()
+	want, got := ref.Snapshot().Assignments(), p.Snapshot().Assignments()
 	if len(want) != len(got) {
 		t.Fatalf("%d assigned per-edge vs %d batch", len(want), len(got))
 	}
@@ -192,7 +192,7 @@ func TestAddBatchParallelStickyErrors(t *testing.T) {
 	}
 	// The corrupt edges' fresh endpoints must not have been placed.
 	for _, v := range []int64{300, 301} {
-		if _, ok := p.PartitionOf(v); ok {
+		if _, ok := p.Snapshot().PartitionOf(v); ok {
 			t.Errorf("vertex %d from a dropped edge was placed", v)
 		}
 	}
@@ -247,7 +247,7 @@ func TestAddBatchParallelConcurrentProducers(t *testing.T) {
 				t.Errorf("snapshot sizes sum %d != assigned %d", total, snap.NumAssigned())
 				return
 			}
-			p.PartitionOf(edges[0].U)
+			p.Snapshot().PartitionOf(edges[0].U)
 			p.Stats()
 		}
 	}()
@@ -277,7 +277,7 @@ func TestOptionsWorkersValidation(t *testing.T) {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
 		ingestBatches(t, p, edges, 256)
-		got := p.Assignments()
+		got := p.Snapshot().Assignments()
 		if want == nil {
 			want = got
 			continue

@@ -94,8 +94,8 @@ func TestAddBatchGoldenIdentical(t *testing.T) {
 		}
 		batched.Flush()
 
-		want := perEdge.Assignments()
-		got := batched.Assignments()
+		want := perEdge.Snapshot().Assignments()
+		got := batched.Snapshot().Assignments()
 		if len(want) != len(got) {
 			t.Fatalf("%s: %d assigned per-edge vs %d batched", algo, len(want), len(got))
 		}
@@ -162,8 +162,8 @@ func TestConcurrentProducers(t *testing.T) {
 					t.Errorf("snapshot sizes sum %d != assigned %d", total, snap.NumAssigned())
 					return
 				}
-				p.PartitionOf(edges[0].U)
-				p.Sizes()
+				p.Snapshot().PartitionOf(edges[0].U)
+				p.Snapshot().Sizes()
 				p.Stats()
 				p.Err()
 			}
@@ -183,7 +183,7 @@ func TestConcurrentProducers(t *testing.T) {
 		t.Fatalf("assigned %d of %d vertices", snap.NumAssigned(), n)
 	}
 	total := 0
-	for _, s := range p.Sizes() {
+	for _, s := range p.Snapshot().Sizes() {
 		total += s
 	}
 	if total != n {
@@ -207,12 +207,12 @@ func TestSnapshotIsPrefixState(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := make([]map[int64]int, 0, len(batches)+1)
-	prefix = append(prefix, replay.Assignments()) // zero-batch state
+	prefix = append(prefix, replay.Snapshot().Assignments()) // zero-batch state
 	for _, b := range batches {
 		if err := replay.AddBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		prefix = append(prefix, replay.Assignments())
+		prefix = append(prefix, replay.Snapshot().Assignments())
 	}
 
 	// Live partitioner: one producer, one concurrent snapshotter.
@@ -287,12 +287,12 @@ func TestReadersUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := make([]map[int64]int, 0, len(batches)+1)
-	prefix = append(prefix, replay.Assignments())
+	prefix = append(prefix, replay.Snapshot().Assignments())
 	for _, b := range batches {
 		if err := replay.AddBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		prefix = append(prefix, replay.Assignments())
+		prefix = append(prefix, replay.Snapshot().Assignments())
 	}
 
 	// One producer keeps the batch-prefix set linear; the readers race it.
@@ -334,7 +334,7 @@ func TestReadersUnderIngest(t *testing.T) {
 				// Hammer the point-read path on a sliding set of vertices.
 				for j := 0; j < 64; j++ {
 					v := edges[(i*64+j*17+r)%len(edges)].U
-					if part, ok := p.PartitionOf(v); ok {
+					if part, ok := p.Snapshot().PartitionOf(v); ok {
 						if part < 0 || part >= 4 {
 							t.Errorf("reader %d: PartitionOf(%d) = %d out of range", r, v, part)
 							return
@@ -357,7 +357,7 @@ func TestReadersUnderIngest(t *testing.T) {
 		t.Fatalf("ingest error: %v", err)
 	}
 
-	final := p.Assignments()
+	final := p.Snapshot().Assignments()
 	matches := func(snap map[int64]int) bool {
 		for _, state := range prefix {
 			if len(state) != len(snap) {
@@ -466,7 +466,7 @@ func TestPlacementEventsMirrorAssignment(t *testing.T) {
 			t.Fatalf("unknown event kind %v", ev.Kind)
 		}
 	}
-	want := p.Assignments()
+	want := p.Snapshot().Assignments()
 	if len(mirror) != len(want) {
 		t.Fatalf("events placed %d vertices, assignment has %d", len(mirror), len(want))
 	}
@@ -507,7 +507,7 @@ func TestPlacementEventsBaseline(t *testing.T) {
 		if ev.Kind != loom.EventPlace {
 			t.Fatalf("baseline emitted non-place event %+v", ev)
 		}
-		if got, ok := p.PartitionOf(ev.V); !ok || got != ev.Partition {
+		if got, ok := p.Snapshot().PartitionOf(ev.V); !ok || got != ev.Partition {
 			t.Fatalf("event %+v disagrees with PartitionOf (%d, %v)", ev, got, ok)
 		}
 	}
@@ -544,7 +544,7 @@ func TestStickyIngestErrors(t *testing.T) {
 	// The valid edges of the batch were still processed.
 	p.Flush()
 	for _, v := range []int64{1, 2, 3} {
-		if _, ok := p.PartitionOf(v); !ok {
+		if _, ok := p.Snapshot().PartitionOf(v); !ok {
 			t.Errorf("vertex %d unassigned after partial batch", v)
 		}
 	}
@@ -619,4 +619,103 @@ func TestSnapshotImmutable(t *testing.T) {
 	if seen != len(before) {
 		t.Fatalf("Each visited %d, want %d", seen, len(before))
 	}
+}
+
+// TestSnapshotIsThePublishedView: Snapshot hands out the snapshot the last
+// batch boundary published — no allocation, and the same pointer until
+// ingest changes something — while callers still read their own writes
+// through the lazy publish after per-edge AddEdge, Flush and Refine.
+func TestSnapshotIsThePublishedView(t *testing.T) {
+	wl := concurrencyWorkload(t)
+	edges := concurrencyStream(t, 1000)
+	n := distinctVertices(edges)
+	p, err := loom.New(loom.Options{Partitions: 4, ExpectedVertices: n, WindowSize: 32}, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(edges) / 2
+	if err := p.AddBatch(edges[:half]); err != nil {
+		t.Fatal(err)
+	}
+
+	v := edges[0].U
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Snapshot() }); allocs != 0 {
+		t.Errorf("Snapshot allocates %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Snapshot().PartitionOf(v) }); allocs != 0 {
+		t.Errorf("Snapshot().PartitionOf allocates %v times per call, want 0", allocs)
+	}
+	if a, b := p.Snapshot(), p.Snapshot(); a != b {
+		t.Error("two Snapshot calls with no ingest between them returned different snapshots")
+	}
+
+	var vertices []int64
+	seen := map[int64]bool{}
+	for _, e := range edges {
+		for _, x := range []int64{e.U, e.V} {
+			if !seen[x] {
+				seen[x] = true
+				vertices = append(vertices, x)
+			}
+		}
+	}
+	// agree checks that the three reads report the same placements.
+	// Evaluate runs first, so it cannot lean on a publish that Snapshot
+	// made for it.
+	agree := func(stage string) *loom.Snapshot {
+		t.Helper()
+		ev, err := p.Evaluate()
+		if err != nil {
+			t.Fatalf("%s: Evaluate: %v", stage, err)
+		}
+		snap := p.Snapshot()
+		placed := 0
+		for _, x := range vertices {
+			if _, ok := snap.PartitionOf(x); ok {
+				placed++
+			}
+		}
+		if placed != snap.NumAssigned() || placed != ev.AssignedVertices {
+			t.Fatalf("%s: PartitionOf places %d vertices, NumAssigned %d, Evaluate %d",
+				stage, placed, snap.NumAssigned(), ev.AssignedVertices)
+		}
+		return snap
+	}
+
+	batched := agree("after AddBatch")
+	// Per-edge ingest leaves no batch boundary: Snapshot must publish the
+	// tail itself (first quarter), and so must Evaluate (second quarter).
+	quarter := half + (len(edges)-half)/2
+	for _, e := range edges[half:quarter] {
+		p.AddEdge(e.U, e.LU, e.V, e.LV)
+	}
+	if got := p.Snapshot().NumAssigned(); got <= batched.NumAssigned() {
+		t.Fatalf("Snapshot after per-edge AddEdge shows %d placements, no more than the %d before",
+			got, batched.NumAssigned())
+	}
+	for _, e := range edges[quarter:] {
+		p.AddEdge(e.U, e.LU, e.V, e.LV)
+	}
+	agree("after per-edge AddEdge")
+	p.Flush()
+	flushed := agree("after Flush")
+	st, err := p.Refine(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined := p.Snapshot() // before agree: Refine itself must publish
+	if st.CutAfter < st.CutBefore {
+		moved := 0
+		for _, x := range vertices {
+			a, _ := flushed.PartitionOf(x)
+			b, _ := refined.PartitionOf(x)
+			if a != b {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("Refine cut %.1f → %.1f but Snapshot shows no moved vertex", st.CutBefore, st.CutAfter)
+		}
+	}
+	agree("after Refine")
 }

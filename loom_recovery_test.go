@@ -168,13 +168,13 @@ func TestRecoveryStateEquality(t *testing.T) {
 	p2.Flush()
 	defer p2.Close()
 
-	if !slices.Equal(ref.Sizes(), p2.Sizes()) {
-		t.Errorf("sizes diverged: %v vs %v", ref.Sizes(), p2.Sizes())
+	if !slices.Equal(ref.Snapshot().Sizes(), p2.Snapshot().Sizes()) {
+		t.Errorf("sizes diverged: %v vs %v", ref.Snapshot().Sizes(), p2.Snapshot().Sizes())
 	}
 	if ref.Stats() != p2.Stats() {
 		t.Errorf("stats diverged:\nuninterrupted %+v\nrecovered     %+v", ref.Stats(), p2.Stats())
 	}
-	if !reflect.DeepEqual(ref.Assignments(), p2.Assignments()) {
+	if !reflect.DeepEqual(ref.Snapshot().Assignments(), p2.Snapshot().Assignments()) {
 		t.Error("assignment maps diverged")
 	}
 	re, err := ref.Evaluate()

@@ -1,6 +1,7 @@
 package loom
 
 import (
+	"maps"
 	"sync"
 	"testing"
 )
@@ -122,7 +123,7 @@ func TestSubscribeMidStream(t *testing.T) {
 	// …so snapshot + late events reconstruct the final assignment exactly
 	// (placements are write-once: overlap is harmless, disagreement is a
 	// bug).
-	union := snap.Assignments()
+	union := maps.Clone(snap.Assignments()) // the published snapshot's map is shared
 	for _, ev := range lateEvs {
 		if ev.Kind != EventPlace {
 			continue
@@ -192,7 +193,7 @@ func TestSubscribeDuringConcurrentIngest(t *testing.T) {
 			t.Fatalf("event %d has Seq %d, want %d: feed not dense from firstSeq", i, ev.Seq, want)
 		}
 	}
-	union := snap.Assignments()
+	union := maps.Clone(snap.Assignments()) // the published snapshot's map is shared
 	for _, ev := range lateEvs {
 		if ev.Kind == EventPlace {
 			union[ev.V] = ev.Partition

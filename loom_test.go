@@ -30,14 +30,14 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	p.Flush()
 
 	for _, v := range []int64{1, 2, 3, 4, 5, 6, 10, 11} {
-		if _, ok := p.PartitionOf(v); !ok {
+		if _, ok := p.Snapshot().PartitionOf(v); !ok {
 			t.Errorf("vertex %d unassigned after Flush", v)
 		}
 	}
 	if got := p.Partitions(); got != 2 {
 		t.Errorf("Partitions = %d", got)
 	}
-	sizes := p.Sizes()
+	sizes := p.Snapshot().Sizes()
 	if sizes[0]+sizes[1] != 8 {
 		t.Errorf("sizes = %v, want total 8", sizes)
 	}
@@ -55,7 +55,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if st.WindowLen != 0 {
 		t.Errorf("window not drained: %+v", st)
 	}
-	asg := p.Assignments()
+	asg := p.Snapshot().Assignments()
 	if len(asg) != 8 {
 		t.Errorf("Assignments len = %d", len(asg))
 	}
@@ -90,7 +90,7 @@ func TestBaselines(t *testing.T) {
 		p.AddEdge(1, "person", 2, "person")
 		p.AddEdge(2, "person", 3, "person")
 		p.Flush()
-		if _, ok := p.PartitionOf(2); !ok {
+		if _, ok := p.Snapshot().PartitionOf(2); !ok {
 			t.Errorf("%s: vertex 2 unassigned", algo)
 		}
 		if _, err := p.Evaluate(); err != nil {
@@ -118,7 +118,7 @@ func TestWorkloadEvolution(t *testing.T) {
 	// Topic edges now pass the single-edge motif gate.
 	p.AddEdge(2, "person", 50, "topic")
 	p.Flush()
-	if _, ok := p.PartitionOf(50); !ok {
+	if _, ok := p.Snapshot().PartitionOf(50); !ok {
 		t.Error("topic vertex unassigned")
 	}
 	st := p.Stats()
@@ -150,7 +150,7 @@ func TestRobustIngest(t *testing.T) {
 	p.AddEdge(1, "person", 2, "person")
 	p.AddEdge(1, "person", 2, "person") // duplicate: dropped
 	p.Flush()
-	if _, ok := p.PartitionOf(1); !ok {
+	if _, ok := p.Snapshot().PartitionOf(1); !ok {
 		t.Error("vertex 1 unassigned")
 	}
 }

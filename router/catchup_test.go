@@ -37,12 +37,15 @@ func shipDir(t *testing.T, src, dst string) {
 }
 
 // TestLateReplicaSpliceMatchesPrimary is the serving tier's core
-// guarantee, verified under -race: a replica that joins late — recovering
-// a mid-stream checkpoint plus WAL tail from a shipped directory, then
-// splicing its mirror onto the live event feed via Attach — answers every
-// routed lookup identically to the primary's final assignment, and its
-// mid-catch-up answers already agree with the primary while the primary
-// is still ingesting.
+// guarantee, verified under -race, in two acts. Act one: a mirror
+// attached to the primary before ingest follows four concurrent producers
+// live while a reconciler re-pins it in a tight loop, and ends on the
+// primary's final assignment. Act two: a replica that joins late —
+// recovering a mid-stream checkpoint plus WAL tail from a shipped
+// directory, then splicing its mirror onto the live event feed via Attach
+// — answers every routed lookup identically to the primary's final
+// assignment, and its mid-catch-up answers already agree with the primary
+// while the primary is still ingesting.
 func TestLateReplicaSpliceMatchesPrimary(t *testing.T) {
 	wl, err := loom.DatasetWorkload("dblp")
 	if err != nil {
@@ -70,6 +73,10 @@ func TestLateReplicaSpliceMatchesPrimary(t *testing.T) {
 	half, ship := len(edges)/2, 5*len(edges)/6
 	const producers, batchSize = 4, 128
 
+	// Act one: attached before ingest, the live mirror misses no event.
+	live := New()
+	live.Attach(p)
+
 	// Four producers stream disjoint shards of the first half.
 	var wg sync.WaitGroup
 	for w := 0; w < producers; w++ {
@@ -85,7 +92,25 @@ func TestLateReplicaSpliceMatchesPrimary(t *testing.T) {
 			}
 		}()
 	}
+	// The reconciler re-pins the live mirror's routing generation as fast
+	// as it can spin while the producers run.
+	pinDone := make(chan struct{})
+	var pins sync.WaitGroup
+	pins.Add(1)
+	go func() {
+		defer pins.Done()
+		for {
+			select {
+			case <-pinDone:
+				return
+			default:
+				live.Pin(p.Snapshot())
+			}
+		}
+	}()
 	wg.Wait()
+	close(pinDone)
+	pins.Wait()
 	if _, err := p.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -144,7 +169,7 @@ func TestLateReplicaSpliceMatchesPrimary(t *testing.T) {
 		if d := m.Lookup(v); !d.Found || d.Partition != part {
 			t.Fatalf("mid-catch-up Lookup(%d) = %+v, want partition %d", v, d, part)
 		}
-		if got, ok := p.PartitionOf(v); !ok || got != part {
+		if got, ok := p.Snapshot().PartitionOf(v); !ok || got != part {
 			t.Fatalf("replica placed %d in %d, live primary says %d (ok=%v)", v, part, got, ok)
 		}
 	})
@@ -198,9 +223,15 @@ func TestLateReplicaSpliceMatchesPrimary(t *testing.T) {
 		if d := m.Lookup(v); !d.Found || d.Partition != part {
 			t.Fatalf("final Lookup(%d) = %+v, want partition %d", v, d, part)
 		}
+		if d := live.Lookup(v); !d.Found || d.Partition != part {
+			t.Fatalf("live mirror Lookup(%d) = %+v, want partition %d", v, d, part)
+		}
 	})
 	if st := m.Stats(); st.Gaps != 0 || st.Lost != 0 {
 		t.Fatalf("splice produced event gaps: %+v", st)
+	}
+	if st := live.Stats(); st.Gaps != 0 || st.Lost != 0 {
+		t.Fatalf("live mirror saw event gaps: %+v", st)
 	}
 }
 
