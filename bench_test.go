@@ -1,7 +1,8 @@
 // Benchmarks reproducing the Loom paper's tables and figures. One
-// testing.B target per experiment (see DESIGN.md §3 for the index), plus
-// per-partitioner micro-benchmarks whose ns/op is directly comparable to
-// Table 2 (time to partition a 10k-edge stream).
+// testing.B target per experiment (EXPERIMENTS.md's "Experiment index"
+// maps each to its paper artefact), plus per-partitioner micro-benchmarks
+// whose ns/op is directly comparable to Table 2 (time to partition a
+// 10k-edge stream).
 //
 // Run everything with:
 //
@@ -250,9 +251,9 @@ func BenchmarkLoomPartition10k(b *testing.B) {
 // public API with a write-ahead log under the default group-commit policy
 // — the pair quantifies what durability costs on the paper configuration.
 // Each iteration pays the full lifecycle (Open's directory fsync, Close's
-// final group write + fsync) on top of the ingest itself; the
-// `loom-bench -exp recover` sweep isolates the in-stream overhead across
-// all fsync policies with interleaved-minimum methodology.
+// final group write + fsync) on top of the ingest itself. The benchmark
+// in perfbench/ isolates the in-stream overhead on the serve path
+// (wal.overhead_ms_per_batch, wal.sync_ms).
 func BenchmarkDurableLoomPartition10k(b *testing.B) {
 	s, _ := tenKStream(b)
 	stream := make([]loom.StreamEdge, len(s))
@@ -760,24 +761,6 @@ func BenchmarkSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if s := p.Snapshot(); s.NumAssigned() != benchReadVertices {
 			b.Fatal("inconsistent snapshot")
-		}
-	}
-}
-
-// BenchmarkSnapshotClone pins the O(V) deep-copy baseline
-// (Tracker.Snapshot: parts, sizes and the whole vertex table) that
-// Partitioner.Snapshot historically paid per call.
-func BenchmarkSnapshotClone(b *testing.B) {
-	const n = benchReadVertices
-	tr := partition.NewTracker(8, partition.CapacityFor(n, 8, partition.DefaultImbalance))
-	for i := 0; i < n; i++ {
-		tr.Assign(graph.VertexID(i), partition.ID(i%8))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := tr.Snapshot(); s.NumAssigned() != n {
-			b.Fatal("inconsistent clone")
 		}
 	}
 }

@@ -6,34 +6,29 @@
 //	loom-bench -exp all
 //	loom-bench -exp fig7 -scale 20000 -k 8
 //	loom-bench -exp fig9 -datasets musicbrainz
-//	loom-bench -exp perf -json BENCH_$(git rev-parse --short HEAD).json
-//	loom-bench -exp perf -cpuprofile cpu.pprof -memprofile mem.pprof
+//	loom-bench -exp table2 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	loom-bench -exp footprint -edges 1e6,1e7 -json footprint.json
 //
-// Experiments: table1, fig4, fig7, fig8, fig9, table2, ablation, perf,
-// read, hub, recover, all. The perf experiment measures every partitioner's
-// streaming cost (ns, allocs and bytes per edge) plus the ipt it buys;
-// the read experiment measures the lock-free read path (snapshot latency
-// vs assignment size, and read/ingest throughput under contention);
-// the hub experiment stresses the matching core's join path on
-// adversarial dense-hub and high-overlap window shapes; the recover
-// experiment measures the durability subsystem (WAL ingest overhead per
-// fsync policy, checkpoint cost, recovery time vs log tail); the route
-// experiment measures the placement-serving tier (routing QPS under live
-// ingest, replica catch-up vs checkpoint position, scatter fan-out vs
-// broadcast); the chaos experiment injects WAL faults — a primary killed
-// mid-write, segments pruned out from under a follower, a flipped bit in
-// a tailed segment, transient read errors, an fsync-bouncing disk — and
-// asserts the supervised serving tier self-heals with zero wrong routes
-// (-short trims it to a CI smoke). -json writes
-// the perf, read, hub, recover, route or chaos experiment as machine-readable
-// JSON ("-" for stdout) so the performance trajectory can be tracked across commits
-// (BENCH_*.json).
+// Paper experiments: table1, fig4, fig7, fig8, fig9, table2, ablation,
+// plus extensions, simulate and motifs; all runs the paper set. Two more
+// experiments cover what the paper does not: chaos injects WAL faults — a
+// primary killed mid-write, segments pruned out from under a follower, a
+// flipped bit in a tailed segment, transient read errors, an
+// fsync-bouncing disk — and asserts the supervised serving tier self-heals
+// with zero wrong routes (-short trims it to a CI smoke); footprint
+// partitions power-law streams of up to 10⁸ edges and reports bytes per
+// recorded edge, ns/edge and peak RSS, in memory and spill mode. -json
+// writes the chaos or footprint report as JSON ("-" for stdout).
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiment, so hot-path work is profileable without a custom harness.
-// See EXPERIMENTS.md for how each output maps onto the paper's results.
+//
+// Throughput, latency and replica lag are measured by the benchmark in
+// perfbench/ (perfbench/README.md), not here. See EXPERIMENTS.md for how
+// each output maps onto the paper's results.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,7 +43,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig4, fig7, fig8, fig9, table2, ablation, extensions, simulate, motifs, perf, read, hub, recover, route, chaos, footprint, all")
+		exp      = flag.String("exp", "all", "experiment: table1, fig4, fig7, fig8, fig9, table2, ablation, extensions, simulate, motifs, chaos, footprint, all")
 		short    = flag.Bool("short", false, "trim the chaos experiment to a CI-smoke scale")
 		scale    = flag.Int("scale", 12000, "per-dataset target vertex count")
 		seed     = flag.Int64("seed", 42, "seed for generation/shuffles/signatures")
@@ -56,7 +51,7 @@ func main() {
 		win      = flag.Int("window", 2048, "Loom window size at harness scale")
 		datasets = flag.String("datasets", "", "comma-separated subset (default: dblp,provgen,musicbrainz,lubm)")
 		fpEdges  = flag.String("edges", "1e6", "footprint: comma-separated stream edge counts, e.g. 1e6,1e7,1e8")
-		jsonOut  = flag.String("json", "", "write the perf, read, hub or recover experiment as JSON to this file (\"-\" for stdout)")
+		jsonOut  = flag.String("json", "", "write the chaos or footprint experiment as JSON to this file (\"-\" for stdout)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the experiment to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	)
@@ -73,24 +68,11 @@ func main() {
 	}
 	if err := withProfiles(*cpuProf, *memProf, func() error {
 		if *jsonOut != "" {
-			switch *exp {
-			case "all", "perf":
-				return runPerfJSON(cfg, *jsonOut)
-			case "read":
-				return runReadJSON(cfg, *jsonOut)
-			case "hub":
-				return runHubJSON(cfg, *jsonOut)
-			case "recover":
-				return runRecoverJSON(cfg, *jsonOut)
-			case "route":
-				return runRouteJSON(cfg, *jsonOut)
-			case "chaos":
-				return runChaosJSON(cfg, *jsonOut, *short)
-			case "footprint":
-				return runFootprintJSON(cfg, edgeCounts, *jsonOut)
-			default:
-				return fmt.Errorf("-json only applies to the perf, read, hub, recover, route, chaos and footprint experiments (got -exp %s)", *exp)
+			rep, err := report(*exp, cfg, *short, edgeCounts)
+			if err != nil {
+				return err
 			}
+			return writeJSON(*jsonOut, rep)
 		}
 		return run(*exp, cfg, *short, edgeCounts)
 	}); err != nil {
@@ -131,158 +113,44 @@ func withProfiles(cpuPath, memPath string, fn func() error) error {
 	return nil
 }
 
-// runPerfJSON runs the perf experiment and writes the machine-readable
-// report to path ("-" = stdout).
-func runPerfJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunPerf(cfg)
-	if err != nil {
-		return err
+// report runs one of the experiments that have a machine-readable report:
+// chaos (the supervised serving tier's fault-injection harness) and
+// footprint (the bounded-memory sweep).
+func report(exp string, cfg bench.Config, short bool, edgeCounts []int64) (any, error) {
+	switch exp {
+	case "chaos":
+		return bench.RunChaos(cfg, short)
+	case "footprint":
+		return bench.RunFootprint(cfg, edgeCounts, nil)
 	}
-	if path == "-" {
-		return bench.WritePerfJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WritePerfJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil, fmt.Errorf("-json only applies to the chaos and footprint experiments (got -exp %s)", exp)
 }
 
-// runHubJSON runs the join-path stress shapes and writes the
-// machine-readable report to path ("-" = stdout).
-func runHubJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunHub(cfg)
-	if err != nil {
-		return err
+// writeJSON writes rep as indented JSON to path ("-" = stdout).
+func writeJSON(path string, rep any) (err error) {
+	out := os.Stdout
+	if path != "-" {
+		if out, err = os.Create(path); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := out.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
-	if path == "-" {
-		return bench.WriteHubJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteHubJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runReadJSON runs the read-path experiment and writes the
-// machine-readable report to path ("-" = stdout).
-func runReadJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunRead(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteReadJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteReadJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runRecoverJSON runs the durability experiment and writes the
-// machine-readable report to path ("-" = stdout).
-func runRecoverJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunRecover(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteRecoverJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteRecoverJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runRouteJSON runs the serving-tier experiment and writes the
-// machine-readable report to path ("-" = stdout).
-func runRouteJSON(cfg bench.Config, path string) error {
-	rep, err := bench.RunRoute(cfg)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteRouteJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteRouteJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runChaosJSON runs the fault-injection suite and writes the
-// machine-readable report to path ("-" = stdout).
-func runChaosJSON(cfg bench.Config, path string, short bool) error {
-	rep, err := bench.RunChaos(cfg, short)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteChaosJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteChaosJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runFootprintJSON runs the memory-footprint sweep and writes the
-// machine-readable report to path ("-" = stdout).
-func runFootprintJSON(cfg bench.Config, edgeCounts []int64, path string) error {
-	rep, err := bench.RunFootprint(cfg, edgeCounts, nil)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return bench.WriteFootprintJSON(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteFootprintJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }
 
 func run(exp string, cfg bench.Config, short bool, edgeCounts []int64) error {
-	runOne := func(name string) error {
+	runOne := func(name string) (err error) {
 		start := time.Now()
 		defer func() {
-			fmt.Printf("(%s completed in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
+			if err == nil {
+				fmt.Printf("(%s completed in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
+			}
 		}()
 		switch name {
 		case "table1":
@@ -341,36 +209,6 @@ func run(exp string, cfg bench.Config, short bool, edgeCounts []int64) error {
 			if err := bench.RenderMotifs(os.Stdout, cfg); err != nil {
 				return err
 			}
-		case "perf":
-			rep, err := bench.RunPerf(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderPerf(os.Stdout, rep)
-		case "read":
-			rep, err := bench.RunRead(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRead(os.Stdout, rep)
-		case "hub":
-			rep, err := bench.RunHub(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderHub(os.Stdout, rep)
-		case "recover":
-			rep, err := bench.RunRecover(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRecover(os.Stdout, rep)
-		case "route":
-			rep, err := bench.RunRoute(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderRoute(os.Stdout, rep)
 		case "chaos":
 			rep, err := bench.RunChaos(cfg, short)
 			if err != nil {

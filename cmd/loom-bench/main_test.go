@@ -13,7 +13,7 @@ func tinyCfg() bench.Config {
 }
 
 func TestRunEachExperiment(t *testing.T) {
-	for _, exp := range []string{"table1", "fig4", "fig9", "table2", "ablation", "extensions", "motifs", "simulate", "perf"} {
+	for _, exp := range []string{"table1", "fig4", "fig9", "table2", "ablation", "extensions", "motifs", "simulate"} {
 		if err := run(exp, tinyCfg(), false, nil); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
@@ -46,26 +46,36 @@ func TestWithProfiles(t *testing.T) {
 	}
 }
 
-func TestRunPerfJSON(t *testing.T) {
-	path := t.TempDir() + "/BENCH_test.json"
-	if err := runPerfJSON(tinyCfg(), path); err != nil {
+// TestWriteJSONFootprint writes a tiny footprint report through the shared
+// -json path to a file and decodes it back.
+func TestWriteJSONFootprint(t *testing.T) {
+	cfg := bench.Config{Seed: 3, K: 2, WindowSize: 64}
+	rep, err := report("footprint", cfg, false, []int64{20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/footprint.json"
+	if err := writeJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep bench.PerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
+	var back bench.FootprintReport
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if want := len(bench.Systems) * len(bench.PerfIngestModes); len(rep.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
+	if len(back.Rows) != 2 || back.K != 2 {
+		t.Fatalf("decoded %d rows at k=%d, want 2 rows (memory + spill) at k=2", len(back.Rows), back.K)
 	}
-	for _, r := range rep.Rows {
-		if r.NsPerEdge <= 0 {
-			t.Errorf("%s/%s: non-positive ns/edge %v", r.Dataset, r.System, r.NsPerEdge)
+	for _, r := range back.Rows {
+		if r.StreamEdges != 20_000 || r.RecordedEdges == 0 || r.NsPerEdge <= 0 {
+			t.Errorf("%s: degenerate row %+v", r.Mode, r)
 		}
+	}
+	if err := writeJSON(t.TempDir()+"/missing/dir.json", rep); err == nil {
+		t.Error("writeJSON into a missing directory: want error")
 	}
 }
 
@@ -81,9 +91,13 @@ func TestRunFig7AndFig8(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	for _, exp := range []string{"fig99", "scale"} {
+	// scale, perf, read, hub, recover and route are retired experiments.
+	for _, exp := range []string{"fig99", "scale", "perf", "read", "hub", "recover", "route"} {
 		if err := run(exp, tinyCfg(), false, nil); err == nil {
 			t.Errorf("unknown experiment %q: want error", exp)
+		}
+		if _, err := report(exp, tinyCfg(), false, nil); err == nil {
+			t.Errorf("-json -exp %s: want error", exp)
 		}
 	}
 }

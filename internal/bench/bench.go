@@ -8,11 +8,16 @@
 //	Table 2 — milliseconds to partition 10k edges, per system × dataset
 //	Fig. 9  — ipt versus Loom window size t
 //
-// plus ablation experiments for the design choices DESIGN.md calls out
-// (equal opportunism vs naive greedy, support weighting, rationing).
+// plus ablation experiments for the design choices internal/core documents
+// (equal opportunism vs naive greedy, support weighting, rationing), the
+// §6 extensions, and two systems checks the paper has no figure for: the
+// chaos fault-injection harness for the supervised serving tier and the
+// footprint sweep of the bounded-memory graph store up to 10⁸ edges.
+// EXPERIMENTS.md's "Experiment index" maps each to its paper artefact.
 //
 // Experiments return plain structs and render aligned text tables, so the
 // same code serves cmd/loom-bench and the root testing.B benchmarks.
+// Throughput, latency and replica lag are measured by perfbench/, not here.
 package bench
 
 import (

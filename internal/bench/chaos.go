@@ -13,7 +13,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -603,13 +602,6 @@ func RunChaos(cfg Config, short bool) (*ChaosReport, error) {
 	}
 	rep.Durability = append(rep.Durability, drow)
 	return rep, nil
-}
-
-// WriteChaosJSON writes the report as indented JSON.
-func WriteChaosJSON(w io.Writer, rep *ChaosReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // RenderChaos writes the report as aligned text tables.

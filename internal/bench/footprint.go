@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -242,7 +242,9 @@ func readVmHWMKB() int64 {
 }
 
 // ParseEdgeCounts parses a comma-separated list like "1e6,1e7,1e8" (plain
-// integers also accepted) into edge counts for RunFootprint.
+// integers also accepted) into edge counts for RunFootprint. Each count
+// must be a whole number in [1, 2⁶³): NaN, ±Inf, fractions such as 2.5
+// and values past int64 are rejected rather than converted.
 func ParseEdgeCounts(s string) ([]int64, error) {
 	if s == "" {
 		return nil, nil
@@ -254,19 +256,12 @@ func ParseEdgeCounts(s string) ([]int64, error) {
 			continue
 		}
 		f, err := strconv.ParseFloat(part, 64)
-		if err != nil || f < 1 {
+		if err != nil || !(f >= 1 && f < 1<<63) || f != math.Trunc(f) {
 			return nil, fmt.Errorf("bench: bad edge count %q", part)
 		}
 		out = append(out, int64(f))
 	}
 	return out, nil
-}
-
-// WriteFootprintJSON writes the report as indented JSON.
-func WriteFootprintJSON(w io.Writer, rep *FootprintReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // RenderFootprint prints the paper-style text table.

@@ -2,13 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
 // TestFootprintSmoke runs a small sweep in both modes and sanity-checks
 // the acceptance surface at CI scale: recorded-graph storage within the
-// 16 B/edge budget, spill mode actually spilling, JSON round-trip.
+// 16 B/edge budget, spill mode actually spilling.
 func TestFootprintSmoke(t *testing.T) {
 	// 200k stream edges records ~9k edges at the sweep's density — enough
 	// to freeze (and in spill mode, write) at least one edge-log chunk,
@@ -53,16 +52,6 @@ func TestFootprintSmoke(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteFootprintJSON(&buf, rep); err != nil {
-		t.Fatalf("WriteFootprintJSON: %v", err)
-	}
-	var back FootprintReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report JSON does not round-trip: %v", err)
-	}
-	if len(back.Rows) != len(rep.Rows) {
-		t.Fatalf("round-trip lost rows: %d vs %d", len(back.Rows), len(rep.Rows))
-	}
 	RenderFootprint(&buf, rep) // must not panic
 }
 
@@ -83,7 +72,13 @@ func TestParseEdgeCounts(t *testing.T) {
 	if _, err := ParseEdgeCounts("zero"); err == nil {
 		t.Fatal("accepted garbage edge count")
 	}
-	if _, err := ParseEdgeCounts("0"); err == nil {
-		t.Fatal("accepted zero edge count")
+	for _, bad := range []string{"0", "-5", "NaN", "Inf", "-Inf", "1e30", "9.3e18", "2.5", "1e6,0.5"} {
+		if got, err := ParseEdgeCounts(bad); err == nil {
+			t.Errorf("ParseEdgeCounts(%q) = %v, want error", bad, got)
+		}
+	}
+	// 2⁶³−2¹⁰ is the largest float64 below 2⁶³, so it still fits an int64.
+	if got, err := ParseEdgeCounts("9223372036854774784"); err != nil || got[0] != 1<<63-1<<10 {
+		t.Errorf("largest in-range count: got %v, %v", got, err)
 	}
 }

@@ -27,7 +27,7 @@
 // inconsistent with both the prose ("inversely correlated with Si's size")
 // and the worked example (l = (1/1.33)·(2/3) = 1/2); this implementation
 // follows the example: l(Si) = α·Smin/|V(Si)|, clamped to 1 for the
-// smallest partition and 0 beyond the imbalance bound b (see DESIGN.md §5).
+// smallest partition and 0 beyond the imbalance bound b (see ration).
 package core
 
 import (
@@ -396,8 +396,11 @@ func (l *Loom) EvictOne() bool {
 	me := l.win.MatchesContainingI(oldIE, l.meBuf[:0])
 	l.meBuf = me
 	if len(me) == 0 {
-		// Unreachable in normal flow: the single-edge match exists while
-		// the edge does. Guard anyway: place endpoints by LDG.
+		// Reached when the per-vertex match cap kept the edge's
+		// single-edge match from being recorded. assignImmediate defers
+		// endpoints still in the window, this edge included, so they can
+		// end up never placed: a known defect, pinned by
+		// TestLoomAssignsEverythingAndBalances.
 		l.assignImmediate(oldIE.U, oldIE.V)
 		l.evictEdges = append(l.evictEdges[:0], oldIE)
 		l.removeWindowEdges(l.evictEdges)
@@ -493,7 +496,7 @@ func compareEdgeSets(a, b []graph.Edge) int {
 	return cmp.Compare(len(a), len(b))
 }
 
-// ration computes l(Si) (Eq. 2, corrected per DESIGN.md §5): 1 for the
+// ration computes l(Si) (Eq. 2 as corrected in the package doc): 1 for the
 // smallest partition; 0 for a partition at its capacity C = b·n/k (the
 // imbalance bound b "emulating Fennel", whose ν = 1.1 is relative to n/k);
 // otherwise α·Smin/|V(Si)|, inversely correlated with Si's size relative to
@@ -525,12 +528,12 @@ func (l *Loom) ration(p partition.ID, smin int) float64 {
 // generalisation counts both the match's member vertices already in Si and
 // the observed incident edges from the match's vertices into Si. For a
 // fresh single-edge match this reduces exactly to LDG's N(Si, e); the
-// printed |V(Si) ∩ V(Ek)| alone discards the neighbourhood signal LDG uses
-// (see DESIGN.md §5). The neighbourhood term reads the tracker's
-// incrementally maintained per-vertex count rows instead of walking
-// adjacency, so one scatter is O(|V(Ek)|·K) regardless of vertex degree —
-// on hub-heavy streams the walk it replaces was O(hub degree) per
-// eviction, which turned 10⁸-edge ingests quadratic.
+// printed |V(Si) ∩ V(Ek)| alone discards the neighbourhood signal LDG uses.
+// The neighbourhood term reads the tracker's incrementally maintained
+// per-vertex count rows instead of walking adjacency, so one scatter is
+// O(|V(Ek)|·K) regardless of vertex degree — on hub-heavy streams the walk
+// it replaces was O(hub degree) per eviction, which turned 10⁸-edge
+// ingests quadratic.
 func (l *Loom) scatterBidCounts(m *window.Match, counts []int32) {
 	for i := range counts {
 		counts[i] = 0

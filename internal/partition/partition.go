@@ -751,21 +751,6 @@ func (t *Tracker) Assignment() *Assignment {
 	}
 }
 
-// Snapshot returns a fully isolated copy of the current assignment: unlike
-// Assignment, the vertex table is deep-copied too, so the snapshot can be
-// read from any goroutine while streaming keeps growing the live table.
-// This is the O(V) deep-copy path; concurrent readers that only need a
-// consistent view use the copy-on-write epochs (Publish/Latest) instead.
-func (t *Tracker) Snapshot() *Assignment {
-	return &Assignment{
-		K:        t.k,
-		Sizes:    append([]int(nil), t.sizes...),
-		verts:    t.verts.Clone(),
-		parts:    append([]ID(nil), t.parts...),
-		assigned: t.assigned,
-	}
-}
-
 // Publish captures the current assignment as an immutable Epoch and makes
 // it the tracker's latest published view. Only pages dirtied since the last
 // Publish are copied out of the flat parts slice — clean pages are shared

@@ -109,8 +109,14 @@ func TestRecoveryGoldenPlacements(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !info.Recovered || info.CheckpointLSN == 0 || info.ReplayedRecords == 0 {
-					t.Fatalf("batch=%d: expected checkpoint+replay recovery, got %+v", batch, info)
+				// The tail past the checkpoint is one WAL record per edge,
+				// or per AddBatch call.
+				wantReplayed := twoThirds - third
+				if batch > 0 {
+					wantReplayed = (wantReplayed + batch - 1) / batch
+				}
+				if !info.Recovered || info.CheckpointLSN == 0 || info.ReplayedRecords != wantReplayed {
+					t.Fatalf("batch=%d: expected checkpoint + %d replayed records, got %+v", batch, wantReplayed, info)
 				}
 				ingestRange(t, p2, edges, twoThirds, len(edges), batch)
 				p2.Flush()
@@ -591,8 +597,8 @@ func TestClosedPartitionerRefusesIngest(t *testing.T) {
 // re-drew that label lazily during replay — at a different generator
 // position, so with a different r-value — flipping the single-edge motif
 // gate and windowing edges the primary had placed immediately. The
-// natural-order dblp stream at the examples/router configuration
-// reproduces it; the golden fixtures (bfs order, window 512) never did.
+// natural-order dblp stream below (k 4, window 256) reproduces it; the
+// golden fixtures (bfs order, window 512) never did.
 func TestRecoverySchemeValuesSurviveCheckpoint(t *testing.T) {
 	wl, err := loom.DatasetWorkload("dblp")
 	if err != nil {
