@@ -141,19 +141,20 @@ type RecoveryInfo struct {
 // reproduce. Call Checkpoint periodically to bound replay time and let
 // old log segments be pruned, and Close on shutdown.
 func Open(opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
-	return openFS(wal.OS(), opt, wl)
+	return OpenFS(wal.OS(), opt, wl)
 }
 
-// openFS is Open over an injectable filesystem (the fault-injection tests
-// recover from deterministic in-memory crash states).
-func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
-	var info RecoveryInfo
+// OpenFS is Open over an injectable write-ahead-log filesystem. The FS
+// interface lives in an internal package, so only this module's fault
+// tests and chaos harness (loom-bench -exp chaos) can construct one;
+// external callers use Open, which runs on the real filesystem.
+func OpenFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
 	nopt, err := opt.normalise()
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
 	if nopt.WALDir == "" {
-		return nil, info, fmt.Errorf("loom: Open requires Options.WALDir (use New for a non-durable partitioner)")
+		return nil, RecoveryInfo{}, fmt.Errorf("loom: Open requires Options.WALDir (use New for a non-durable partitioner)")
 	}
 	wlog, recd, err := wal.Open(fsys, wal.Options{
 		Dir:             nopt.WALDir,
@@ -164,14 +165,26 @@ func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo,
 		RetryBackoff:    nopt.WALRetryBackoff,
 	})
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
-	p, err := newLoom(nopt, wl, nil)
+	p, info, err := bootstrap(nopt, wl, recd)
 	if err != nil {
 		wlog.Close()
 		return nil, info, err
 	}
-	info = RecoveryInfo{
+	p.wal = wlog
+	return p, info, nil
+}
+
+// bootstrap builds a partitioner from what a WAL reader recovered: the
+// checkpoint restored, then every record after it replayed. No lock is
+// needed — the partitioner is unshared until the caller returns it.
+func bootstrap(opt Options, wl *Workload, recd *wal.Recovered) (*Partitioner, RecoveryInfo, error) {
+	p, err := newLoom(opt, wl, nil)
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	info := RecoveryInfo{
 		Recovered:          recd.HaveCheckpoint || len(recd.Records) > 0,
 		CheckpointLSN:      recd.CheckpointLSN,
 		ReplayedRecords:    len(recd.Records),
@@ -180,21 +193,17 @@ func openFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo,
 		CheckpointFallback: recd.CheckpointFallback,
 		Warnings:           recd.Warnings,
 	}
-	// No lock needed yet — the partitioner is unshared until we return.
 	if recd.HaveCheckpoint {
 		if err := p.restoreCheckpoint(recd.Checkpoint); err != nil {
-			wlog.Close()
 			return nil, info, err
 		}
 	}
 	for i, rec := range recd.Records {
 		if err := p.applyRecordLocked(rec); err != nil {
-			wlog.Close()
 			return nil, info, fmt.Errorf("loom: replay record %d (LSN %d): %w", i, recd.CheckpointLSN+uint64(i)+1, err)
 		}
 	}
 	p.publishLocked()
-	p.wal = wlog
 	return p, info, nil
 }
 
@@ -209,19 +218,6 @@ func (o Options) walRetries() int {
 	default:
 		return o.WALAppendRetries
 	}
-}
-
-// OpenFS is Open over an injectable write-ahead-log filesystem. The FS
-// interface lives in an internal package, so only this module's fault
-// tests and chaos harness (loom-bench -exp chaos) can construct one;
-// external callers use Open, which runs on the real filesystem.
-func OpenFS(fsys wal.FS, opt Options, wl *Workload) (*Partitioner, RecoveryInfo, error) {
-	return openFS(fsys, opt, wl)
-}
-
-// FollowFS is Follow over an injectable filesystem; see OpenFS.
-func FollowFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
-	return followFS(fsys, opt, wl)
 }
 
 // DamagedSegment reports the WAL segment file an error from Follow,
@@ -270,48 +266,27 @@ type Follower struct {
 // torn final record — the follower picks it up on a later Poll if the
 // primary completes it).
 func Follow(opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
-	return followFS(wal.OS(), opt, wl)
+	return FollowFS(wal.OS(), opt, wl)
 }
 
-// followFS is Follow over an injectable filesystem.
-func followFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
-	var info RecoveryInfo
+// FollowFS is Follow over an injectable filesystem; see OpenFS.
+func FollowFS(fsys wal.FS, opt Options, wl *Workload) (*Follower, RecoveryInfo, error) {
 	nopt, err := opt.normalise()
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
 	if nopt.WALDir == "" {
-		return nil, info, fmt.Errorf("loom: Follow requires Options.WALDir (the primary's log directory)")
+		return nil, RecoveryInfo{}, fmt.Errorf("loom: Follow requires Options.WALDir (the primary's log directory)")
 	}
 	tail, recd, err := wal.OpenTailer(fsys, nopt.WALDir)
 	if err != nil {
-		return nil, info, err
+		return nil, RecoveryInfo{}, err
 	}
-	p, err := newLoom(nopt, wl, nil)
+	p, info, err := bootstrap(nopt, wl, recd)
 	if err != nil {
 		return nil, info, err
 	}
-	info = RecoveryInfo{
-		Recovered:          recd.HaveCheckpoint || len(recd.Records) > 0,
-		CheckpointLSN:      recd.CheckpointLSN,
-		ReplayedRecords:    len(recd.Records),
-		LastLSN:            recd.LastLSN,
-		TornTail:           recd.TornTail,
-		CheckpointFallback: recd.CheckpointFallback,
-		Warnings:           recd.Warnings,
-	}
-	if recd.HaveCheckpoint {
-		if err := p.restoreCheckpoint(recd.Checkpoint); err != nil {
-			return nil, info, err
-		}
-	}
-	for i, rec := range recd.Records {
-		if err := p.applyRecordLocked(rec); err != nil {
-			return nil, info, fmt.Errorf("loom: replay record %d (LSN %d): %w", i, recd.CheckpointLSN+uint64(i)+1, err)
-		}
-	}
 	p.follower = true
-	p.publishLocked()
 	return &Follower{p: p, tail: tail}, info, nil
 }
 

@@ -199,17 +199,6 @@ func TestRunAblation(t *testing.T) {
 	}
 }
 
-func TestExecuteWorkloadOnce(t *testing.T) {
-	cfg := smallCfg()
-	res, err := ExecuteWorkloadOnce("provgen", "ldg", graph.OrderBFS, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workload != "provgen" || len(res.PerQuery) == 0 {
-		t.Errorf("unexpected result %+v", res)
-	}
-}
-
 func TestNewSystemUnknown(t *testing.T) {
 	p, err := prepare("provgen", smallCfg().withDefaults())
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"loom/internal/dataset"
 	"loom/internal/graph"
 	"loom/internal/signature"
-	"loom/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -324,24 +323,4 @@ func RenderAblation(w io.Writer, cells []AblationCell) {
 		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.1f%%\t%.1f%%\n", c.Dataset, c.System, c.IPT, c.RelToHash, 100*c.Imbalance)
 	}
 	tw.Flush()
-}
-
-// ExecuteWorkloadOnce is a convenience for the root benchmarks: it
-// partitions the dataset with the named system and returns the workload ipt
-// result (used by testing.B wrappers that need a single number).
-func ExecuteWorkloadOnce(ds, sys string, order graph.StreamOrder, cfg Config) (workload.Result, error) {
-	cfg = cfg.withDefaults()
-	p, err := prepare(ds, cfg)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stream := graph.StreamOf(p.g, order, rng)
-	s, err := newSystem(sys, p, cfg.K, cfg.WindowSize, cfg.Threshold)
-	if err != nil {
-		return workload.Result{}, err
-	}
-	s.ProcessEdges(stream)
-	s.Flush()
-	return workload.Execute(p.g, s.Assignment(), p.wl, workload.Options{MaxMatchesPerQuery: cfg.MaxMatches})
 }

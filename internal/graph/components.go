@@ -1,28 +1,11 @@
 package graph
 
-// ConnectedComponents returns the vertex sets of g's connected components,
-// treating edges as undirected regardless of g.Directed. Components are
-// returned in order of their first-inserted vertex, and vertices within a
-// component in discovery (BFS) order, so the result is deterministic.
+// ConnectedComponents returns the vertex sets of g's connected components.
+// Components are returned in order of their first-inserted vertex, and
+// vertices within a component in discovery (BFS) order, so the result is
+// deterministic.
 func ConnectedComponents(g *Graph) [][]VertexID {
 	visited := make(map[VertexID]struct{}, g.NumVertices())
-	neighbors := g.Neighbors
-	if g.directed {
-		// Build a symmetric adjacency view for traversal.
-		undirected := make(map[VertexID][]VertexID, g.NumVertices())
-		err := g.EachEdge(func(e Edge) error {
-			undirected[e.U] = append(undirected[e.U], e.V)
-			undirected[e.V] = append(undirected[e.V], e.U)
-			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
-		neighbors = func(v VertexID, buf []VertexID) []VertexID {
-			return append(buf, undirected[v]...)
-		}
-	}
-
 	var comps [][]VertexID
 	for _, root := range g.Vertices() {
 		if _, ok := visited[root]; ok {
@@ -35,7 +18,7 @@ func ConnectedComponents(g *Graph) [][]VertexID {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			ns = neighbors(u, ns[:0])
+			ns = g.Neighbors(u, ns[:0])
 			for _, v := range ns {
 				if _, ok := visited[v]; ok {
 					continue

@@ -14,30 +14,20 @@ import (
 // differential oracle: the compressed storage must agree with it edge for
 // edge and neighbour for neighbour on any stream.
 type refGraph struct {
-	directed bool
-	label    map[VertexID]Label
-	order    []VertexID
-	adj      map[VertexID][]VertexID
-	eset     map[Edge]struct{}
-	eorder   []Edge
-	rec      []StreamEdge // accepted edges, arrival order + orientation
+	label  map[VertexID]Label
+	order  []VertexID
+	adj    map[VertexID][]VertexID
+	eset   map[Edge]struct{}
+	eorder []Edge
+	rec    []StreamEdge // accepted edges, arrival order + orientation
 }
 
-func newRef(directed bool) *refGraph {
+func newRef() *refGraph {
 	return &refGraph{
-		directed: directed,
-		label:    make(map[VertexID]Label),
-		adj:      make(map[VertexID][]VertexID),
-		eset:     make(map[Edge]struct{}),
+		label: make(map[VertexID]Label),
+		adj:   make(map[VertexID][]VertexID),
+		eset:  make(map[Edge]struct{}),
 	}
-}
-
-func (r *refGraph) key(u, v VertexID) Edge {
-	e := Edge{u, v}
-	if !r.directed {
-		e = e.Norm()
-	}
-	return e
 }
 
 func (r *refGraph) ensureVertex(id VertexID, l Label) error {
@@ -63,16 +53,14 @@ func (r *refGraph) ensureEdge(u VertexID, lu Label, v VertexID, lv Label) (bool,
 	if u == v {
 		return false, nil
 	}
-	k := r.key(u, v)
+	k := Edge{u, v}.Norm()
 	if _, dup := r.eset[k]; dup {
 		return false, nil
 	}
 	r.eset[k] = struct{}{}
 	r.eorder = append(r.eorder, k)
 	r.adj[u] = append(r.adj[u], v)
-	if !r.directed {
-		r.adj[v] = append(r.adj[v], u)
-	}
+	r.adj[v] = append(r.adj[v], u)
 	r.rec = append(r.rec, StreamEdge{U: u, LU: lu, V: v, LV: lv})
 	return true, nil
 }
@@ -143,13 +131,13 @@ func diffCheck(t *testing.T, g *Graph, r *refGraph) {
 			}
 		}
 	}
-	// HasEdge: every recorded edge present (both orientations when
-	// undirected), plus absent probes.
+	// HasEdge: every recorded edge present in both orientations, plus
+	// absent probes.
 	for e := range r.eset {
 		if !g.HasEdge(e.U, e.V) {
 			t.Fatalf("HasEdge(%v) = false", e)
 		}
-		if !r.directed && !g.HasEdge(e.V, e.U) {
+		if !g.HasEdge(e.V, e.U) {
 			t.Fatalf("HasEdge(%v reversed) = false", e)
 		}
 	}
@@ -157,7 +145,7 @@ func diffCheck(t *testing.T, g *Graph, r *refGraph) {
 	for i := 0; i < 2000; i++ {
 		u := VertexID(probe.Intn(300))
 		v := VertexID(probe.Intn(300))
-		_, want := r.eset[r.key(u, v)]
+		_, want := r.eset[Edge{u, v}.Norm()]
 		if u == v {
 			want = false
 		}
@@ -182,9 +170,9 @@ func diffCheck(t *testing.T, g *Graph, r *refGraph) {
 	}
 }
 
-func runDifferential(t *testing.T, g *Graph, directed bool, seed int64, n int) *refGraph {
+func runDifferential(t *testing.T, g *Graph, seed int64, n int) {
 	t.Helper()
-	r := newRef(directed)
+	r := newRef()
 	for _, se := range genStream(seed, n, 3000) {
 		wantAdded, wantErr := r.ensureEdge(se.U, se.LU, se.V, se.LV)
 		gotAdded, gotErr := g.EnsureEdge(se.U, se.LU, se.V, se.LV)
@@ -193,41 +181,17 @@ func runDifferential(t *testing.T, g *Graph, directed bool, seed int64, n int) *
 		}
 	}
 	diffCheck(t, g, r)
-	return r
 }
 
 func TestDifferentialUndirected(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		runDifferential(t, New(), false, seed, 30_000)
-	}
-}
-
-func TestDifferentialDirected(t *testing.T) {
-	g := NewDirected()
-	r := runDifferential(t, g, true, 11, 20_000)
-	// InNeighbors comes from a log replay on the directed path.
-	for _, v := range g.Vertices()[:200] {
-		var want []VertexID
-		for _, e := range r.eorder {
-			if e.V == v {
-				want = append(want, e.U)
-			}
-		}
-		got := g.InNeighbors(v)
-		if len(got) != len(want) {
-			t.Fatalf("InNeighbors(%d): len %d, ref %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("InNeighbors(%d)[%d] = %d, ref %d", v, i, got[i], want[i])
-			}
-		}
+		runDifferential(t, New(), seed, 30_000)
 	}
 }
 
 func TestDifferentialLabelConflict(t *testing.T) {
 	g := New()
-	r := newRef(false)
+	r := newRef()
 	g.EnsureEdge(1, "A", 2, "B")
 	r.ensureEdge(1, "A", 2, "B")
 	// Conflicting label: both reject, graph state unchanged.
@@ -249,7 +213,7 @@ func TestDifferentialSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 30_000 // ≥ several logChunkEdges chunks
-	r := newRef(false)
+	r := newRef()
 	for _, se := range genStream(42, n, 3000) {
 		r.ensureEdge(se.U, se.LU, se.V, se.LV)
 		mem.EnsureEdge(se.U, se.LU, se.V, se.LV)
@@ -279,7 +243,7 @@ func TestSpillFaultDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.SetWriteFault("elog-", -1, errors.New("disk full"))
-	r := newRef(false)
+	r := newRef()
 	for _, se := range genStream(7, 3*logChunkEdges, 100_000) {
 		r.ensureEdge(se.U, se.LU, se.V, se.LV)
 		g.EnsureEdge(se.U, se.LU, se.V, se.LV)
@@ -344,7 +308,7 @@ func TestSpillReplayWhileIngesting(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	g := New()
-	r := newRef(false)
+	r := newRef()
 	for _, se := range genStream(5, 5000, 500) {
 		r.ensureEdge(se.U, se.LU, se.V, se.LV)
 		g.EnsureEdge(se.U, se.LU, se.V, se.LV)

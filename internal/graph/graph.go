@@ -1,14 +1,13 @@
 // Package graph provides the labelled-graph substrate used throughout Loom:
-// vertices carrying labels from a small alphabet, undirected (or directed)
-// edges, adjacency indexes, and deterministic stream orderings of a graph's
+// vertices carrying labels from a small alphabet, undirected edges,
+// adjacency indexes, and deterministic stream orderings of a graph's
 // edges (breadth-first, depth-first, random) as used by the paper's
 // evaluation (§5.1).
 //
 // A labelled graph G = (V, E, LV, fl) follows §1.3 of the paper: V is a set
 // of vertices, E a set of pairwise edges, LV a set of vertex labels and
 // fl : V → LV a surjective mapping of vertices to labels. Graphs here are
-// simple (no self-loops, no parallel edges) and undirected by default; the
-// directed extension the paper mentions inline is supported via NewDirected.
+// simple (no self-loops, no parallel edges) and undirected.
 //
 // # Storage
 //
@@ -53,8 +52,8 @@ type VertexID int64
 // Label is a vertex label drawn from the (typically small) alphabet LV.
 type Label string
 
-// Edge is a pair of vertex endpoints. For undirected graphs the pair is kept
-// in normalised (U <= V) order so an Edge value can be used as a map key.
+// Edge is a pair of vertex endpoints. A graph reports its edges in
+// normalised (U <= V) order so an Edge value can be used as a map key.
 type Edge struct {
 	U, V VertexID
 }
@@ -85,10 +84,8 @@ func (e Edge) HasEndpoint(v VertexID) bool { return e.U == v || e.V == v }
 func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
 // Graph is a simple labelled graph. The zero value is not usable; construct
-// with New or NewDirected.
+// with New.
 type Graph struct {
-	directed bool
-
 	verts  *intern.VertexTable
 	ltab   *intern.LabelTable
 	vlabel []uint16    // label code per dense vertex index
@@ -113,18 +110,6 @@ func New() *Graph {
 		ltab:  intern.NewLabelTable(),
 	}
 }
-
-// NewDirected returns an empty directed labelled graph. Directed edges are
-// stored (U→V); Neighbors returns out-neighbours and InNeighbors is provided
-// for the reverse direction.
-func NewDirected() *Graph {
-	g := New()
-	g.directed = true
-	return g
-}
-
-// Directed reports whether g stores directed edges.
-func (g *Graph) Directed() bool { return g.directed }
 
 // Reserve pre-sizes the duplicate-edge set for the expected edge count,
 // avoiding incremental rehashes during bulk ingest.
@@ -166,10 +151,10 @@ func (g *Graph) SpillStats() (chunks int, bytes int64, err error) {
 	return g.log.spilled, g.log.spillB, g.log.spillErr
 }
 
-// packIdx packs a dense index pair into the edge-set key, normalising for
-// undirected graphs.
+// packIdx packs a dense index pair into the edge-set key, in canonical
+// (smaller index first) order.
 func (g *Graph) packIdx(ui, vi uint32) uint64 {
-	if !g.directed && vi < ui {
+	if vi < ui {
 		ui, vi = vi, ui
 	}
 	return uint64(ui)<<32 | uint64(vi)
@@ -210,29 +195,14 @@ func (g *Graph) VerifyKey(pk uint64) bool {
 		return true
 	}
 	ui, vi := uint32(pk>>32), uint32(pk)
-	var found bool
-	switch {
-	case g.directed:
-		found = g.adj[ui].contains(vi)
-	case g.adj[ui].deg <= g.adj[vi].deg:
-		found = g.adj[ui].contains(vi)
-	default:
-		found = g.adj[vi].contains(ui)
+	if g.adj[vi].deg < g.adj[ui].deg {
+		ui, vi = vi, ui
 	}
+	found := g.adj[ui].contains(vi)
 	if found {
 		g.noteDup(pk)
 	}
 	return found
-}
-
-// key returns the canonical Edge value for (u,v): normalised for
-// undirected graphs, as-is for directed ones.
-func (g *Graph) key(u, v VertexID) Edge {
-	e := Edge{u, v}
-	if !g.directed {
-		e = e.Norm()
-	}
-	return e
 }
 
 // ensureVertex interns id with label l (or validates the label if id is
@@ -291,9 +261,7 @@ func (g *Graph) addEdgeIdx(ui, vi uint32) bool {
 	}
 	g.log.append(ui, vi)
 	g.adj[ui].add(vi)
-	if !g.directed {
-		g.adj[vi].add(ui)
-	}
+	g.adj[vi].add(ui)
 	return true
 }
 
@@ -314,7 +282,7 @@ func (g *Graph) AddEdge(u, v VertexID) error {
 		return fmt.Errorf("graph: edge endpoint %d not in graph", v)
 	}
 	if !g.addEdgeIdx(ui, vi) {
-		return fmt.Errorf("graph: duplicate edge %v", g.key(u, v))
+		return fmt.Errorf("graph: duplicate edge %v", Edge{u, v}.Norm())
 	}
 	return nil
 }
@@ -341,8 +309,7 @@ func (g *Graph) EnsureEdge(u VertexID, lu Label, v VertexID, lv Label) (bool, er
 	return g.addEdgeIdx(ui, vi), nil
 }
 
-// HasEdge reports whether the edge (u,v) exists. For undirected graphs the
-// order of u and v does not matter.
+// HasEdge reports whether the edge (u,v) exists, in either order.
 func (g *Graph) HasEdge(u, v VertexID) bool {
 	ui, ok := g.verts.Lookup(int64(u))
 	if !ok {
@@ -355,8 +322,7 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 	return g.eset.Contains(g.packIdx(ui, vi), g)
 }
 
-// Degree returns the number of edges incident to v (out-degree for directed
-// graphs).
+// Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v VertexID) int {
 	i, ok := g.verts.Lookup(int64(v))
 	if !ok {
@@ -365,10 +331,10 @@ func (g *Graph) Degree(v VertexID) int {
 	return int(g.adj[i].deg)
 }
 
-// Neighbors appends the neighbours of v (out-neighbours for directed
-// graphs) to buf in insertion order and returns the extended slice. Pass
-// a reused scratch as buf[:0] to amortise the decode allocation; pass nil
-// for a fresh slice. A vertex not in the graph appends nothing.
+// Neighbors appends the neighbours of v to buf in insertion order and
+// returns the extended slice. Pass a reused scratch as buf[:0] to amortise
+// the decode allocation; pass nil for a fresh slice. A vertex not in the
+// graph appends nothing.
 func (g *Graph) Neighbors(v VertexID, buf []VertexID) []VertexID {
 	i, ok := g.verts.Lookup(int64(v))
 	if !ok {
@@ -393,43 +359,6 @@ func (g *Graph) appendNeighbors(i uint32, buf []VertexID) []VertexID {
 	return buf
 }
 
-// EachNeighbor invokes fn for each neighbour of v in insertion order until
-// fn returns false, without materialising the list.
-func (g *Graph) EachNeighbor(v VertexID, fn func(VertexID) bool) {
-	i, ok := g.verts.Lookup(int64(v))
-	if !ok {
-		return
-	}
-	ids := g.verts.IDs()
-	g.adj[i].each(func(n uint32) bool { return fn(VertexID(ids[n])) })
-}
-
-// InNeighbors returns, for a directed graph, the vertices with an edge into
-// v. It is computed on demand by a log replay and is O(|E|); directed
-// support exists for the paper's "extends to directed graphs" remark, not
-// for hot paths.
-func (g *Graph) InNeighbors(v VertexID) []VertexID {
-	if !g.directed {
-		return g.Neighbors(v, nil)
-	}
-	ti, ok := g.verts.Lookup(int64(v))
-	if !ok {
-		return nil
-	}
-	ids := g.verts.IDs()
-	var in []VertexID
-	err := g.log.view().each(func(ui, vi uint32) error {
-		if vi == ti {
-			in = append(in, VertexID(ids[ui]))
-		}
-		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("graph: edge log replay: %v", err))
-	}
-	return in
-}
-
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return g.verts.Len() }
 
@@ -447,20 +376,14 @@ func (g *Graph) Vertices() []VertexID {
 	return out
 }
 
-// EachEdge invokes fn for every edge in insertion order (normalised for
-// undirected graphs, stream orientation for directed ones), replaying the
-// edge log one chunk at a time — including chunks spilled to disk. fn
-// returning an error stops the replay; a read error on a spilled chunk is
-// returned as-is.
+// EachEdge invokes fn for every edge in insertion order, normalised,
+// replaying the edge log one chunk at a time — including chunks spilled to
+// disk. fn returning an error stops the replay; a read error on a spilled
+// chunk is returned as-is.
 func (g *Graph) EachEdge(fn func(Edge) error) error {
 	ids := g.verts.IDs()
-	directed := g.directed
 	return g.log.view().each(func(ui, vi uint32) error {
-		e := Edge{VertexID(ids[ui]), VertexID(ids[vi])}
-		if !directed {
-			e = e.Norm()
-		}
-		return fn(e)
+		return fn(Edge{VertexID(ids[ui]), VertexID(ids[vi])}.Norm())
 	})
 }
 
@@ -504,13 +427,12 @@ func (g *Graph) LabelHistogram() map[Label]int {
 // same directory) but never spills new chunks itself.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		directed: g.directed,
-		verts:    g.verts.Clone(),
-		ltab:     g.ltab.Clone(),
-		vlabel:   append([]uint16(nil), g.vlabel...),
-		adj:      make([]vertexAdj, len(g.adj)),
-		eset:     g.eset.Clone(),
-		log:      g.log.clone(),
+		verts:  g.verts.Clone(),
+		ltab:   g.ltab.Clone(),
+		vlabel: append([]uint16(nil), g.vlabel...),
+		adj:    make([]vertexAdj, len(g.adj)),
+		eset:   g.eset.Clone(),
+		log:    g.log.clone(),
 	}
 	for i := range g.adj {
 		c.adj[i] = g.adj[i].clone()
@@ -536,22 +458,20 @@ func (g *Graph) EdgeLabels(e Edge) (Label, Label) {
 // stalling the stream. A Replay holds no materialised edge slice: memory
 // during Each is one log chunk.
 type Replay struct {
-	directed bool
-	ids      []int64
-	vlabel   []uint16
-	names    []string
-	lv       logView
+	ids    []int64
+	vlabel []uint16
+	names  []string
+	lv     logView
 }
 
 // CaptureReplay captures the recorded stream. Call with the graph's
 // writer quiescent (the partitioner captures under its ingest lock).
 func (g *Graph) CaptureReplay() Replay {
 	return Replay{
-		directed: g.directed,
-		ids:      g.verts.IDs(),
-		vlabel:   g.vlabel,
-		names:    g.ltab.Names(),
-		lv:       g.log.view(),
+		ids:    g.verts.IDs(),
+		vlabel: g.vlabel,
+		names:  g.ltab.Names(),
+		lv:     g.log.view(),
 	}
 }
 
@@ -609,9 +529,5 @@ func (g *Graph) Mem() MemStats {
 
 // String summarises the graph.
 func (g *Graph) String() string {
-	kind := "undirected"
-	if g.directed {
-		kind = "directed"
-	}
-	return fmt.Sprintf("graph{%s |V|=%d |E|=%d |LV|=%d}", kind, g.NumVertices(), g.NumEdges(), len(g.Labels()))
+	return fmt.Sprintf("graph{undirected |V|=%d |E|=%d |LV|=%d}", g.NumVertices(), g.NumEdges(), len(g.Labels()))
 }

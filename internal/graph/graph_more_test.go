@@ -20,10 +20,6 @@ func TestGraphString(t *testing.T) {
 	if !strings.Contains(s, "|V|=8") || !strings.Contains(s, "|E|=10") || !strings.Contains(s, "undirected") {
 		t.Errorf("String = %q", s)
 	}
-	d := NewDirected()
-	if !strings.Contains(d.String(), "directed") {
-		t.Errorf("String = %q", d.String())
-	}
 }
 
 func TestEdgeString(t *testing.T) {
@@ -64,26 +60,6 @@ func TestStreamOfRandomWithoutRNGPanics(t *testing.T) {
 		}
 	}()
 	StreamOf(g, OrderRandom, nil)
-}
-
-func TestDirectedConnectedComponents(t *testing.T) {
-	// Directed edges 1→2, 3→2: weakly connected as one component.
-	g := NewDirected()
-	for v, l := range map[VertexID]Label{1: "a", 2: "b", 3: "c"} {
-		if err := g.AddVertex(v, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(3, 2); err != nil {
-		t.Fatal(err)
-	}
-	comps := ConnectedComponents(g)
-	if len(comps) != 1 {
-		t.Errorf("weak components = %d, want 1", len(comps))
-	}
 }
 
 func TestOrdersHelper(t *testing.T) {
@@ -149,15 +125,6 @@ func TestEnsureEdgeIdempotentUnderNoise(t *testing.T) {
 	}
 	if g.NumEdges() != 2 || g.NumVertices() != 3 {
 		t.Errorf("noisy replay: %v", g)
-	}
-}
-
-func TestInNeighborsUndirected(t *testing.T) {
-	g := fig1Graph(t)
-	// For undirected graphs InNeighbors falls back to the adjacency.
-	in := g.InNeighbors(2)
-	if len(in) != g.Degree(2) {
-		t.Errorf("InNeighbors undirected = %v", in)
 	}
 }
 

@@ -133,34 +133,6 @@ func TestEnsureEdge(t *testing.T) {
 	}
 }
 
-func TestDirectedGraph(t *testing.T) {
-	g := NewDirected()
-	for v, l := range map[VertexID]Label{1: "a", 2: "b", 3: "c"} {
-		if err := g.AddVertex(v, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(2, 1); err != nil {
-		t.Errorf("directed reverse edge should be distinct: %v", err)
-	}
-	if err := g.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(3, 2) {
-		t.Error("HasEdge(3,2) = true in directed graph, want false")
-	}
-	if got := g.Degree(2); got != 2 { // out-degree: 2→1, 2→3
-		t.Errorf("out Degree(2) = %d, want 2", got)
-	}
-	in := g.InNeighbors(2)
-	if len(in) != 1 || in[0] != 1 {
-		t.Errorf("InNeighbors(2) = %v, want [1]", in)
-	}
-}
-
 func TestEdgeNormAndOther(t *testing.T) {
 	e := Edge{5, 2}.Norm()
 	if e != (Edge{2, 5}) {

@@ -100,7 +100,7 @@ func bfsEdges(g *Graph) []Edge {
 			queue = queue[1:]
 			ns = g.Neighbors(u, ns[:0])
 			for _, v := range ns {
-				k := g.key(u, v)
+				k := Edge{u, v}.Norm()
 				if _, dup := seen[k]; !dup {
 					seen[k] = struct{}{}
 					out = append(out, k)
@@ -136,7 +136,7 @@ func dfsEdges(g *Graph) []Edge {
 				// appears exactly once even when u was reached twice.
 				ns = g.Neighbors(u, ns[:0])
 				for _, v := range ns {
-					k := g.key(u, v)
+					k := Edge{u, v}.Norm()
 					if _, dup := seen[k]; !dup {
 						seen[k] = struct{}{}
 						out = append(out, k)
@@ -150,7 +150,7 @@ func dfsEdges(g *Graph) []Edge {
 			ns = g.Neighbors(u, ns[:0])
 			for i := len(ns) - 1; i >= 0; i-- {
 				v := ns[i]
-				k := g.key(u, v)
+				k := Edge{u, v}.Norm()
 				if _, dup := seen[k]; !dup {
 					seen[k] = struct{}{}
 					out = append(out, k)

@@ -203,15 +203,6 @@ func (s *Scheme) EdgeFactor(lu, lv graph.Label) Factor {
 	return s.nonzero((a - b) % s.p)
 }
 
-// DirectedEdgeFactor returns the factor for a directed edge src→dst:
-// (r(src) − r(dst)) mod p, per the paper's inline note that "the random
-// value for the target vertex's label is subtracted from the random value
-// for the source vertex's label".
-func (s *Scheme) DirectedEdgeFactor(src, dst graph.Label) Factor {
-	a, b := s.LabelValue(src), s.LabelValue(dst)
-	return s.nonzero((a + s.p - b) % s.p)
-}
-
 // DegreeFactor returns the i-th degree factor of a vertex labelled l, i.e.
 // the factor contributed when the vertex's degree reaches i (i ≥ 1):
 // ((r(l) + i) mod p), 0 → p.
@@ -278,25 +269,15 @@ func (s *Scheme) EdgeDeltaVals(ru uint32, du int, rv uint32, dv int) Delta {
 	})
 }
 
-// SignatureOf computes the full factor multiset of g from scratch. For
-// undirected graphs this is |E| edge factors plus Σ deg(v) = 2|E| degree
-// factors.
+// SignatureOf computes the full factor multiset of g from scratch: |E| edge
+// factors plus Σ deg(v) = 2|E| degree factors.
 func (s *Scheme) SignatureOf(g *graph.Graph) *Multiset {
 	ms := NewMultiset()
 	for _, e := range g.Edges() {
-		lu, lv := g.EdgeLabels(e)
-		if g.Directed() {
-			ms.Add(s.DirectedEdgeFactor(lu, lv))
-		} else {
-			ms.Add(s.EdgeFactor(lu, lv))
-		}
+		ms.Add(s.EdgeFactor(g.EdgeLabels(e)))
 	}
 	for _, v := range g.Vertices() {
-		l := g.MustLabel(v)
-		deg := g.Degree(v)
-		if g.Directed() {
-			deg += len(g.InNeighbors(v))
-		}
+		l, deg := g.MustLabel(v), g.Degree(v)
 		for i := 1; i <= deg; i++ {
 			ms.Add(s.DegreeFactor(l, i))
 		}
@@ -313,16 +294,6 @@ func Product(ms *Multiset) *big.Int {
 	for _, f := range ms.Factors() {
 		tmp.SetUint64(uint64(f))
 		out.Mul(out, tmp)
-	}
-	return out
-}
-
-// LabelValues returns a copy of the currently assigned label values, sorted
-// by label, for diagnostics.
-func (s *Scheme) LabelValues() map[graph.Label]uint32 {
-	out := make(map[graph.Label]uint32, len(s.rvals))
-	for l, v := range s.rvals {
-		out[l] = v
 	}
 	return out
 }

@@ -170,15 +170,6 @@ func TestIsomorphismInvarianceProperty(t *testing.T) {
 	}
 }
 
-func TestDirectedEdgeFactorIsDirectional(t *testing.T) {
-	s := NewSchemeWithValues(11, map[graph.Label]uint32{"a": 3, "b": 10})
-	ab := s.DirectedEdgeFactor("a", "b") // (3-10) mod 11 = 4
-	ba := s.DirectedEdgeFactor("b", "a") // (10-3) mod 11 = 7
-	if ab != 4 || ba != 7 {
-		t.Errorf("directed factors = %d,%d want 4,7", ab, ba)
-	}
-}
-
 func TestSameLabelEdgeFactorIsP(t *testing.T) {
 	s := NewSchemeWithValues(11, map[graph.Label]uint32{"a": 3})
 	if got := s.EdgeFactor("a", "a"); got != 11 {

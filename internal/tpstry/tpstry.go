@@ -213,9 +213,6 @@ func (t *Trie) AddQuery(q *graph.Graph, freq float64) error {
 	if m > MaxQueryEdges {
 		return fmt.Errorf("tpstry: query graph has %d edges, max %d", m, MaxQueryEdges)
 	}
-	if q.Directed() {
-		return fmt.Errorf("tpstry: directed query graphs are not supported")
-	}
 
 	edges := q.Edges()
 	// incident[i] lists edge indices sharing a vertex with edge i.

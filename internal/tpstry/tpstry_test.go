@@ -226,19 +226,6 @@ func TestAddQueryValidation(t *testing.T) {
 	if err := trie.AddQuery(empty, 1); err == nil {
 		t.Error("edgeless query: want error")
 	}
-	dir := graph.NewDirected()
-	if err := dir.AddVertex(1, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := dir.AddVertex(2, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := dir.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := trie.AddQuery(dir, 1); err == nil {
-		t.Error("directed query: want error")
-	}
 }
 
 func TestIncrementalWorkloadUpdate(t *testing.T) {

@@ -109,13 +109,6 @@ func (m *MemFS) Written() int64 {
 	return m.written
 }
 
-// Crashed reports whether the write budget has been exhausted.
-func (m *MemFS) Crashed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crashed
-}
-
 // CrashLose resolves the crash as a power loss: every file is truncated
 // to its synced watermark and renames never covered by a SyncDir are
 // rolled back. The FS becomes usable again with an unlimited budget.

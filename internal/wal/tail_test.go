@@ -223,6 +223,35 @@ func TestTailerTransientReadErrors(t *testing.T) {
 	l.Close()
 }
 
+// TestTailerReadFaultMidWalkSkipsNothing: a read failure on a later
+// segment of a multi-segment Poll must not advance the tailer past the
+// records it already read from earlier segments — the failed Poll
+// delivers nothing, so the retry has to deliver all of them.
+func TestTailerReadFaultMidWalkSkipsNothing(t *testing.T) {
+	fs := NewMemFS()
+	opt := Options{Dir: "wal", Policy: SyncAlways, SegmentBytes: 128}
+	l, _ := mustOpen(t, fs, opt)
+	appendN(t, l, 0, 4)
+	tl, _ := mustTail(t, fs, "wal")
+
+	appendN(t, l, 4, 20) // spans several 128-byte segments
+	names := fs.DumpNames()
+	fs.SetReadFault(names[len(names)-1], 1, nil)
+	if _, err := tl.Poll(); err == nil {
+		t.Fatal("Poll over an injected read fault did not error")
+	}
+	got, err := tl.Poll()
+	if err != nil || len(got) != 20 {
+		t.Fatalf("Poll after the fault = %d records, err %v — want 20, nil", len(got), err)
+	}
+	for i, r := range got {
+		if want := string(payload(4 + i)); string(r) != want {
+			t.Fatalf("polled record %d = %q, want %q", i, r, want)
+		}
+	}
+	l.Close()
+}
+
 // TestTailerPruneRacesPoll: the primary checkpoints and prunes between
 // the tailer's List and its ReadFile, so Poll reads a file that just
 // vanished. That must be a transient error — the re-list on the next

@@ -31,16 +31,35 @@
 //
 // # Recovery semantics
 //
-// Open scans the directory and returns the newest checkpoint whose CRC
-// verifies (falling back across retained checkpoints), plus every record
-// after it. The first record whose frame is short or whose CRC mismatches
-// is treated as the torn tail of a crashed writer: the log is truncated at
-// that offset, any later segments are removed, and a warning is recorded —
-// recovery proceeds with the surviving prefix, which is always a
-// batch-consistent state. A gap in the segment chain (records missing
-// before intact ones) is not recoverable and surfaces as ErrGap; a
-// directory whose checkpoints are all unreadable and whose log does not
-// reach back to LSN 0 surfaces ErrNoCheckpoint. Neither panics.
+// Both readers of a directory share one scan: list the files, load the
+// newest checkpoint whose CRC verifies (falling back across the retained
+// ones), and walk the segments after it, stopping at the first damaged
+// segment header or record frame. Open positions a writer, so it repairs
+// the directory; OpenTailer and Tailer.Poll follow a live writer
+// read-only. They differ only in what they do with what the scan found:
+//
+//	found                                Open (writer)                      Tailer (follower)
+//	bad frame in the final segment       truncate there; TornTail           stop before it; TornTail
+//	bad header on the final segment      remove the segment; TornTail       stop before it; TornTail
+//	bad frame or header mid-chain        truncate there, remove later       ErrCorrupt (SegmentError)
+//	                                     segments; TornTail
+//	overlapping segment                  ErrCorrupt (SegmentError)          ErrCorrupt (SegmentError)
+//	missing segment                      ErrGap                             ErrGap
+//	newest checkpoint unreadable         older one; CheckpointFallback      older one; CheckpointFallback
+//	every checkpoint unreadable,         ErrNoCheckpoint                    ErrNoCheckpoint
+//	log does not start at LSN 1
+//	segment read error                   error (SegmentError)               error (SegmentError)
+//	stray .tmp file                      removed                            ignored
+//	unrecognised file                    ignored, with a warning            ignored, with a warning
+//
+// A bad frame is short, claims more than the record size bound, or fails
+// its CRC. The writer treats any damage as the torn tail of a crashed
+// writer and recovers the surviving prefix, which is always a
+// batch-consistent state. A follower cannot tell damage in the final
+// segment from the writer's in-flight group-commit flush, so it stops
+// there and a later Poll re-examines the same bytes; damage with intact
+// segments after it is real corruption. Neither reader panics, and a
+// failed Poll delivers nothing and leaves the tailer where it was.
 package wal
 
 import (

@@ -444,23 +444,16 @@ func (o Options) normalise() (Options, error) {
 	if o.WALSync < WALSyncBatch || o.WALSync > WALSyncNone {
 		return o, fmt.Errorf("loom: unknown WALSync policy %d", o.WALSync)
 	}
-	if o.WALSegmentBytes == 0 {
-		o.WALSegmentBytes = 4 << 20
-	}
-	if o.WALSegmentBytes < 1024 {
+	// The WAL's own defaults (wal.Options) fill in zero sizes, counts and
+	// backoffs; only explicit values are validated here.
+	if o.WALSegmentBytes != 0 && o.WALSegmentBytes < 1024 {
 		return o, fmt.Errorf("loom: WALSegmentBytes must be >= 1024, got %d", o.WALSegmentBytes)
 	}
-	if o.WALKeepCheckpoints == 0 {
-		o.WALKeepCheckpoints = 2
-	}
-	if o.WALKeepCheckpoints < 1 {
+	if o.WALKeepCheckpoints < 0 {
 		return o, fmt.Errorf("loom: WALKeepCheckpoints must be >= 1, got %d", o.WALKeepCheckpoints)
 	}
 	if o.WALFailure < FailStop || o.WALFailure > DegradeToMemory {
 		return o, fmt.Errorf("loom: unknown WALFailure policy %d", o.WALFailure)
-	}
-	if o.WALRetryBackoff == 0 {
-		o.WALRetryBackoff = 10 * time.Millisecond
 	}
 	return o, nil
 }
